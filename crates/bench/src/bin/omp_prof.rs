@@ -97,7 +97,7 @@ use std::sync::Arc;
 
 use collector::{
     report, Profiler, RuntimeHandle, SelectivePolicy, SelectiveProfiler, StateTimer, StreamError,
-    StreamingTracer, Tracer,
+    StreamingTracer,
 };
 use omprt::OpenMp;
 use ora_core::event::Event;
@@ -561,20 +561,6 @@ fn trace_report() {
     }
     println!("  query matched {} records\n", records.len());
 
-    let mut counts: std::collections::BTreeMap<&str, u64> = Default::default();
-    for r in &records {
-        *counts.entry(r.event.name()).or_insert(0) += 1;
-    }
-    println!(
-        "{}",
-        report::table(
-            &["event", "count"],
-            counts
-                .iter()
-                .map(|(name, n)| vec![name.to_string(), n.to_string()]),
-        )
-    );
-
     // Governor decision records (if the trace was captured under the
     // governed rung): the sampling-rate timeline, oldest first.
     let timeline = reader.governor_timeline().unwrap_or_default();
@@ -596,11 +582,29 @@ fn trace_report() {
         println!();
     }
 
+    print_records(&records, head);
+}
+
+/// Print the per-event count table, then the first `head` records.
+fn print_records(records: &[TraceEvent], head: usize) {
+    let mut counts: std::collections::BTreeMap<&str, u64> = Default::default();
+    for r in records {
+        *counts.entry(r.event.name()).or_insert(0) += 1;
+    }
+    println!(
+        "{}",
+        report::table(
+            &["event", "count"],
+            counts
+                .iter()
+                .map(|(name, n)| vec![name.to_string(), n.to_string()]),
+        )
+    );
     println!("first {} records:", head.min(records.len()));
     for r in records.iter().take(head) {
         println!(
             "{:>12.3} us  t{:<3} {:<34} region={} wait={}",
-            micros(r.tick),
+            collector::clock::to_micros(r.tick),
             r.gtid,
             r.event.name(),
             r.region_id,
@@ -1229,23 +1233,23 @@ fn main() {
             println!("\n{}", profile.render());
         }
         "trace" => {
-            let t = Tracer::attach(handle, 1_000_000).unwrap();
+            let config = TraceConfig::with_total_capacity(1_000_000);
+            let t = StreamingTracer::attach(handle, config, MemorySink::new()).unwrap();
             run_workload(&rt, &workload, class);
             std::thread::sleep(std::time::Duration::from_millis(100));
-            let trace = t.finish();
-            println!("\nfirst 30 records:\n{}", trace.render_head(30));
-            println!(
-                "{}",
-                report::table(
-                    &["event", "count"],
-                    ora_core::event::ALL_EVENTS
-                        .iter()
-                        .filter(|e| trace.count(**e) > 0)
-                        .map(|e| vec![e.name().to_string(), trace.count(*e).to_string()]),
-                )
-            );
+            let (sink, _) = t.finish().expect("memory sink cannot fail");
+            let trace = TraceReader::from_bytes(sink.into_bytes()).expect("self-encoded trace");
+            let records = trace.records().expect("self-encoded trace decodes");
+            println!();
+            print_records(&records, 30);
             if std::env::args().any(|a| a == "--csv") {
-                println!("{}", trace.to_csv());
+                println!("tick,gtid,event,region_id,wait_id");
+                for r in &records {
+                    println!(
+                        "{},{},{},{},{}",
+                        r.tick, r.gtid, r.event as u32, r.region_id, r.wait_id
+                    );
+                }
             }
         }
         "states" => {

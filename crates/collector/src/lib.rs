@@ -6,14 +6,16 @@
 //! the paper's §V.
 //!
 //! * [`discovery`] — resolve the symbol and speak the wire protocol;
+//! * `lanes` — the collector core every tool is built on: one attach
+//!   path plus the shared region, barrier, state-time and trace lanes;
 //! * [`clock`] — the hardware time counter the callbacks sample;
 //! * [`profiler`] — the paper's prototype tool: fork/join/implicit-barrier
 //!   callbacks, per-region timing, join-event callstack records, offline
 //!   user-model reconstruction, and the callbacks-only mode used by the
 //!   §V-B overhead breakdown;
 //! * [`tracer`] — full event tracing with per-event counters (measures
-//!   the region-call counts of Tables I/II), recording through
-//!   `ora-trace`'s lock-free rings and streaming pipeline;
+//!   the region-call counts of Tables I/II), streaming through
+//!   `ora-trace`'s lock-free rings into any trace sink;
 //! * [`sampler`] — `OMP_REQ_STATE` sampling and state histograms;
 //! * [`state_timer`] — per-thread time-in-state accounting built on the
 //!   event + state-query machinery;
@@ -24,8 +26,6 @@
 //!   / state-queries / streaming-trace / governed);
 //! * [`suite`] — one-attachment multiplexer producing profile + trace +
 //!   state-times together (ORA has one callback slot per event);
-//! * [`analysis`] — offline trace analysis (region intervals, wait
-//!   intervals, concurrency);
 //! * [`ompt`] — an OMPT-vocabulary adapter over ORA (the successor
 //!   interface's callbacks synthesized from the paper's events);
 //! * [`diff`] — before/after profile comparison;
@@ -45,10 +45,10 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod clock;
 pub mod diff;
 pub mod discovery;
+mod lanes;
 pub mod modes;
 pub mod ompt;
 pub mod profiler;
@@ -59,7 +59,6 @@ pub mod state_timer;
 pub mod suite;
 pub mod tracer;
 
-pub use analysis::{analyze, RegionInterval, TraceAnalysis, WaitInterval};
 pub use diff::{diff, ProfileDiff, RegionDelta};
 pub use discovery::RuntimeHandle;
 pub use modes::{ActiveCollection, CollectionConfig, CollectionSummary};
@@ -69,4 +68,4 @@ pub use sampler::StateSampler;
 pub use selective::{SelectivePolicy, SelectiveProfiler, SelectiveReport};
 pub use state_timer::{StateProfile, StateTimer, ThreadStateTimes};
 pub use suite::{SuiteConfig, SuiteReport, ToolSuite};
-pub use tracer::{StreamError, StreamingTracer, Trace, TraceRecord, Tracer};
+pub use tracer::{StreamError, StreamingTracer};

@@ -252,19 +252,13 @@ impl ActiveCollection {
                     None,
                 ))
             }
-            ActiveCollection::StateQueries(timer) => {
-                let profile = timer.finish();
-                Ok((
-                    CollectionSummary {
-                        // The state timer has no event counter; report the
-                        // threads it saw so "did anything happen" stays
-                        // answerable.
-                        events_observed: profile.threads.len() as u64,
-                        ..CollectionSummary::default()
-                    },
-                    None,
-                ))
-            }
+            ActiveCollection::StateQueries(timer) => Ok((
+                CollectionSummary {
+                    events_observed: timer.finish().events,
+                    ..CollectionSummary::default()
+                },
+                None,
+            )),
             ActiveCollection::StreamingTrace(tracer) => finish_streaming(*tracer),
             ActiveCollection::Governed(tracer) => {
                 // Snapshot the governor before Stop tears the masks
@@ -373,6 +367,25 @@ mod tests {
             summary.events_observed, 0,
             "paused dispatch must gate events off before the callbacks"
         );
+    }
+
+    #[test]
+    fn state_configuration_counts_every_callback() {
+        let rt = OpenMp::with_threads(2);
+        let h = handle(&rt);
+        let before = h.query_health().unwrap().events_sampled;
+        let active = CollectionConfig::StateQueries.attach(&h).unwrap();
+        for _ in 0..6 {
+            rt.parallel(|_| {});
+        }
+        // Join every worker, so no callback is in flight at Stop: the
+        // timer's count is then exactly the runtime's count of events
+        // whose callbacks ran.
+        drop(rt);
+        let summary = active.finish().unwrap();
+        let sampled = h.query_health().unwrap().events_sampled - before;
+        assert!(sampled >= 12, "6 regions on 2 threads: {sampled}");
+        assert_eq!(summary.events_observed, sampled);
     }
 
     #[test]

@@ -18,9 +18,10 @@ use std::sync::Arc;
 
 use ora_core::event::Event;
 use ora_core::registry::EventData;
-use ora_core::request::{OraResult, Request};
+use ora_core::request::OraResult;
 
 use crate::discovery::RuntimeHandle;
+use crate::lanes::{self, Events};
 
 /// OMPT's `ompt_scope_endpoint_t`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,6 +109,77 @@ pub enum OmptRecord {
     },
 }
 
+/// The ORA events the adapter synthesizes OMPT callbacks from.
+const TRANSLATED: [Event; 16] = [
+    Event::Fork,
+    Event::Join,
+    Event::ThreadBeginImplicitBarrier,
+    Event::ThreadEndImplicitBarrier,
+    Event::ThreadBeginExplicitBarrier,
+    Event::ThreadEndExplicitBarrier,
+    Event::TaskWaitBegin,
+    Event::TaskWaitEnd,
+    Event::ThreadBeginLockWait,
+    Event::ThreadEndLockWait,
+    Event::ThreadBeginCriticalWait,
+    Event::ThreadEndCriticalWait,
+    Event::ThreadBeginOrderedWait,
+    Event::ThreadEndOrderedWait,
+    Event::LoopBegin,
+    Event::LoopEnd,
+];
+
+/// Translate one ORA event into its OMPT callback (`None` for events
+/// outside [`TRANSLATED`]).
+fn translate(d: &EventData) -> Option<OmptRecord> {
+    let sync = |kind, endpoint| OmptRecord::SyncRegion {
+        kind,
+        endpoint,
+        thread: d.gtid,
+        parallel_id: d.region_id,
+    };
+    let acquire = |kind| OmptRecord::MutexAcquire {
+        kind,
+        thread: d.gtid,
+        wait_id: d.wait_id,
+    };
+    let acquired = |kind| OmptRecord::MutexAcquired {
+        kind,
+        thread: d.gtid,
+        wait_id: d.wait_id,
+    };
+    let work = |endpoint| OmptRecord::Work {
+        endpoint,
+        thread: d.gtid,
+        loop_seq: d.wait_id,
+    };
+    use Endpoint::{Begin, End};
+    Some(match d.event {
+        Event::Fork => OmptRecord::ParallelBegin {
+            parallel_id: d.region_id,
+            parent_parallel_id: d.parent_region_id,
+        },
+        Event::Join => OmptRecord::ParallelEnd {
+            parallel_id: d.region_id,
+        },
+        Event::ThreadBeginImplicitBarrier => sync(SyncRegionKind::BarrierImplicit, Begin),
+        Event::ThreadEndImplicitBarrier => sync(SyncRegionKind::BarrierImplicit, End),
+        Event::ThreadBeginExplicitBarrier => sync(SyncRegionKind::BarrierExplicit, Begin),
+        Event::ThreadEndExplicitBarrier => sync(SyncRegionKind::BarrierExplicit, End),
+        Event::TaskWaitBegin => sync(SyncRegionKind::Taskwait, Begin),
+        Event::TaskWaitEnd => sync(SyncRegionKind::Taskwait, End),
+        Event::ThreadBeginLockWait => acquire(MutexKind::Lock),
+        Event::ThreadEndLockWait => acquired(MutexKind::Lock),
+        Event::ThreadBeginCriticalWait => acquire(MutexKind::Critical),
+        Event::ThreadEndCriticalWait => acquired(MutexKind::Critical),
+        Event::ThreadBeginOrderedWait => acquire(MutexKind::Ordered),
+        Event::ThreadEndOrderedWait => acquired(MutexKind::Ordered),
+        Event::LoopBegin => work(Begin),
+        Event::LoopEnd => work(End),
+        _ => return None,
+    })
+}
+
 /// The OMPT-style tool interface: one callback receiving translated
 /// records (OMPT's `ompt_set_callback` with a single multiplexed sink,
 /// which is how most real OMPT tools structure their dispatch anyway).
@@ -120,113 +192,14 @@ impl OmptAdapter {
         handle: RuntimeHandle,
         sink: Arc<dyn Fn(OmptRecord) + Send + Sync>,
     ) -> OraResult<()> {
-        handle.request_one(Request::Start)?;
-
-        type Translator = fn(&EventData) -> OmptRecord;
-        let translate: &[(Event, Translator)] = &[
-            (Event::Fork, |d| OmptRecord::ParallelBegin {
-                parallel_id: d.region_id,
-                parent_parallel_id: d.parent_region_id,
-            }),
-            (Event::Join, |d| OmptRecord::ParallelEnd {
-                parallel_id: d.region_id,
-            }),
-            (Event::ThreadBeginImplicitBarrier, |d| {
-                OmptRecord::SyncRegion {
-                    kind: SyncRegionKind::BarrierImplicit,
-                    endpoint: Endpoint::Begin,
-                    thread: d.gtid,
-                    parallel_id: d.region_id,
+        lanes::attach(
+            &handle,
+            Events::Only(&TRANSLATED),
+            Arc::new(move |d: &EventData| {
+                if let Some(record) = translate(d) {
+                    sink(record)
                 }
             }),
-            (Event::ThreadEndImplicitBarrier, |d| {
-                OmptRecord::SyncRegion {
-                    kind: SyncRegionKind::BarrierImplicit,
-                    endpoint: Endpoint::End,
-                    thread: d.gtid,
-                    parallel_id: d.region_id,
-                }
-            }),
-            (Event::ThreadBeginExplicitBarrier, |d| {
-                OmptRecord::SyncRegion {
-                    kind: SyncRegionKind::BarrierExplicit,
-                    endpoint: Endpoint::Begin,
-                    thread: d.gtid,
-                    parallel_id: d.region_id,
-                }
-            }),
-            (Event::ThreadEndExplicitBarrier, |d| {
-                OmptRecord::SyncRegion {
-                    kind: SyncRegionKind::BarrierExplicit,
-                    endpoint: Endpoint::End,
-                    thread: d.gtid,
-                    parallel_id: d.region_id,
-                }
-            }),
-            (Event::TaskWaitBegin, |d| OmptRecord::SyncRegion {
-                kind: SyncRegionKind::Taskwait,
-                endpoint: Endpoint::Begin,
-                thread: d.gtid,
-                parallel_id: d.region_id,
-            }),
-            (Event::TaskWaitEnd, |d| OmptRecord::SyncRegion {
-                kind: SyncRegionKind::Taskwait,
-                endpoint: Endpoint::End,
-                thread: d.gtid,
-                parallel_id: d.region_id,
-            }),
-            (Event::ThreadBeginLockWait, |d| OmptRecord::MutexAcquire {
-                kind: MutexKind::Lock,
-                thread: d.gtid,
-                wait_id: d.wait_id,
-            }),
-            (Event::ThreadEndLockWait, |d| OmptRecord::MutexAcquired {
-                kind: MutexKind::Lock,
-                thread: d.gtid,
-                wait_id: d.wait_id,
-            }),
-            (Event::ThreadBeginCriticalWait, |d| {
-                OmptRecord::MutexAcquire {
-                    kind: MutexKind::Critical,
-                    thread: d.gtid,
-                    wait_id: d.wait_id,
-                }
-            }),
-            (Event::ThreadEndCriticalWait, |d| {
-                OmptRecord::MutexAcquired {
-                    kind: MutexKind::Critical,
-                    thread: d.gtid,
-                    wait_id: d.wait_id,
-                }
-            }),
-            (Event::ThreadBeginOrderedWait, |d| {
-                OmptRecord::MutexAcquire {
-                    kind: MutexKind::Ordered,
-                    thread: d.gtid,
-                    wait_id: d.wait_id,
-                }
-            }),
-            (Event::ThreadEndOrderedWait, |d| OmptRecord::MutexAcquired {
-                kind: MutexKind::Ordered,
-                thread: d.gtid,
-                wait_id: d.wait_id,
-            }),
-            (Event::LoopBegin, |d| OmptRecord::Work {
-                endpoint: Endpoint::Begin,
-                thread: d.gtid,
-                loop_seq: d.wait_id,
-            }),
-            (Event::LoopEnd, |d| OmptRecord::Work {
-                endpoint: Endpoint::End,
-                thread: d.gtid,
-                loop_seq: d.wait_id,
-            }),
-        ];
-
-        for &(event, f) in translate {
-            let sink = sink.clone();
-            handle.register(event, Arc::new(move |d: &EventData| sink(f(d))))?;
-        }
-        Ok(())
+        )
     }
 }

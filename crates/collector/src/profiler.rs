@@ -12,7 +12,6 @@
 //! communication (event dispatch + callback invocation) from the cost of
 //! performance measurement and storage.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,10 +24,8 @@ use psx::unwind::Backtrace;
 
 use crate::clock;
 use crate::discovery::RuntimeHandle;
+use crate::lanes::{self, BarrierTimes, Events, RegionTimer};
 use crate::report;
-
-/// Highest thread ID the per-thread accumulators cover.
-pub const MAX_THREADS: usize = 256;
 
 /// What the registered callbacks do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,132 +60,108 @@ impl Default for ProfilerConfig {
     }
 }
 
-#[derive(Default, Clone, Copy)]
-struct RegionAccum {
-    calls: u64,
-    total_ticks: u64,
-    min_ticks: u64,
-    max_ticks: u64,
-}
-
-#[derive(Default)]
-struct ThreadAccum {
-    ibar_begin_tick: u64,
-    ibar_ticks: u64,
-    ibar_count: u64,
-}
-
-struct ProfState {
+/// The profiler's per-event lane: region timing, implicit-barrier time
+/// and join callstacks. [`ToolSuite`](crate::ToolSuite) runs the same
+/// lane from its multiplexed callback.
+pub(crate) struct ProfileLane {
     mode: Mode,
     capture_callstacks: bool,
-    /// Fork tick per in-flight region (master-only writers).
-    fork_tick: Mutex<HashMap<u64, u64>>,
-    regions: Mutex<HashMap<u64, RegionAccum>>,
-    threads: Vec<Mutex<ThreadAccum>>,
-    /// (region, duration ticks, implementation callstack) per join.
-    stacks: Mutex<Vec<(u64, u64, Backtrace)>>,
+    regions: RegionTimer,
+    barriers: BarrierTimes,
+    /// (duration ticks, implementation callstack) per join.
+    stacks: Mutex<Vec<(u64, Backtrace)>>,
     events: AtomicU64,
+}
+
+impl ProfileLane {
+    pub(crate) fn new(config: &ProfilerConfig) -> ProfileLane {
+        ProfileLane {
+            mode: config.mode,
+            capture_callstacks: config.capture_callstacks,
+            regions: RegionTimer::default(),
+            barriers: BarrierTimes::default(),
+            stacks: Mutex::new(Vec::new()),
+            events: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn on_event(&self, d: &EventData) {
+        self.events.fetch_add(1, Ordering::Relaxed);
+        if self.mode == Mode::CallbacksOnly {
+            return;
+        }
+        let now = clock::ticks();
+        match d.event {
+            Event::Fork => self.regions.fork(d.region_id, now),
+            Event::Join => {
+                let dur = self.regions.join(d.region_id, now);
+                if self.capture_callstacks {
+                    let bt = psx::capture();
+                    self.stacks.lock().push((dur, bt));
+                }
+            }
+            Event::ThreadBeginImplicitBarrier => self.barriers.begin(d.gtid, now),
+            Event::ThreadEndImplicitBarrier => self.barriers.end(d.gtid, now),
+            _ => {}
+        }
+    }
+
+    /// Assemble the offline profile ("reconstructing the callstack to
+    /// provide a user view of the program is done offline after the
+    /// application finishes", paper §IV).
+    pub(crate) fn profile(&self, api_health: ApiHealth) -> Profile {
+        let (call_tree, join_samples) = call_tree(&self.stacks.lock());
+        Profile {
+            regions: self.regions.profiles(),
+            threads: self.barriers.profiles(),
+            call_tree,
+            events_observed: self.events.load(Ordering::Relaxed),
+            join_samples,
+            api_health,
+        }
+    }
+}
+
+/// Offline user-model reconstruction of `(duration ticks, callstack)`
+/// samples into a call tree weighted by duration.
+pub(crate) fn call_tree(stacks: &[(u64, Backtrace)]) -> (psx::CallTree, u64) {
+    let table = psx::SymbolTable::global();
+    let mut tree = psx::CallTree::new();
+    for (dur, bt) in stacks {
+        tree.add(&psx::reconstruct(bt, table), clock::to_secs(*dur));
+    }
+    (tree, stacks.len() as u64)
 }
 
 /// An attached profiler. Dropping it without [`Profiler::finish`] leaves
 /// the runtime collecting into a dead buffer; always call `finish`.
 pub struct Profiler {
     handle: RuntimeHandle,
-    state: Arc<ProfState>,
+    lane: Arc<ProfileLane>,
 }
 
 impl Profiler {
     /// Attach to a runtime: send `Start` and register the fork/join (and
     /// optionally implicit-barrier) callbacks.
     pub fn attach(handle: RuntimeHandle, config: ProfilerConfig) -> OraResult<Profiler> {
-        handle.request_one(Request::Start)?;
-        let state = Arc::new(ProfState {
-            mode: config.mode,
-            capture_callstacks: config.capture_callstacks,
-            fork_tick: Mutex::new(HashMap::new()),
-            regions: Mutex::new(HashMap::new()),
-            threads: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
-            stacks: Mutex::new(Vec::new()),
-            events: AtomicU64::new(0),
-        });
-
-        {
-            let s = state.clone();
-            handle.register(
+        let lane = Arc::new(ProfileLane::new(&config));
+        let events: &[Event] = if config.track_barriers {
+            &[
                 Event::Fork,
-                Arc::new(move |d: &EventData| {
-                    s.events.fetch_add(1, Ordering::Relaxed);
-                    if s.mode == Mode::CallbacksOnly {
-                        return;
-                    }
-                    let t = clock::ticks();
-                    s.fork_tick.lock().insert(d.region_id, t);
-                }),
-            )?;
-        }
-        {
-            let s = state.clone();
-            handle.register(
                 Event::Join,
-                Arc::new(move |d: &EventData| {
-                    s.events.fetch_add(1, Ordering::Relaxed);
-                    if s.mode == Mode::CallbacksOnly {
-                        return;
-                    }
-                    let now = clock::ticks();
-                    let start = s.fork_tick.lock().remove(&d.region_id);
-                    let dur = start.map(|t| now.saturating_sub(t)).unwrap_or(0);
-                    {
-                        let mut regions = s.regions.lock();
-                        let acc = regions.entry(d.region_id).or_default();
-                        acc.calls += 1;
-                        acc.total_ticks += dur;
-                        acc.min_ticks = if acc.calls == 1 {
-                            dur
-                        } else {
-                            acc.min_ticks.min(dur)
-                        };
-                        acc.max_ticks = acc.max_ticks.max(dur);
-                    }
-                    if s.capture_callstacks {
-                        let bt = psx::capture();
-                        s.stacks.lock().push((d.region_id, dur, bt));
-                    }
-                }),
-            )?;
-        }
-        if config.track_barriers {
-            let s = state.clone();
-            handle.register(
                 Event::ThreadBeginImplicitBarrier,
-                Arc::new(move |d: &EventData| {
-                    s.events.fetch_add(1, Ordering::Relaxed);
-                    if s.mode == Mode::CallbacksOnly || d.gtid >= MAX_THREADS {
-                        return;
-                    }
-                    s.threads[d.gtid].lock().ibar_begin_tick = clock::ticks();
-                }),
-            )?;
-            let s = state.clone();
-            handle.register(
                 Event::ThreadEndImplicitBarrier,
-                Arc::new(move |d: &EventData| {
-                    s.events.fetch_add(1, Ordering::Relaxed);
-                    if s.mode == Mode::CallbacksOnly || d.gtid >= MAX_THREADS {
-                        return;
-                    }
-                    let now = clock::ticks();
-                    let mut acc = s.threads[d.gtid].lock();
-                    if acc.ibar_begin_tick != 0 {
-                        acc.ibar_ticks += now.saturating_sub(acc.ibar_begin_tick);
-                        acc.ibar_count += 1;
-                        acc.ibar_begin_tick = 0;
-                    }
-                }),
-            )?;
-        }
-
-        Ok(Profiler { handle, state })
+            ]
+        } else {
+            &[Event::Fork, Event::Join]
+        };
+        let cb = lane.clone();
+        lanes::attach(
+            &handle,
+            Events::Only(events),
+            Arc::new(move |d: &EventData| cb.on_event(d)),
+        )?;
+        Ok(Profiler { handle, lane })
     }
 
     /// Attach with the default configuration (the paper's tool).
@@ -208,65 +181,16 @@ impl Profiler {
 
     /// Events observed so far.
     pub fn events_observed(&self) -> u64 {
-        self.state.events.load(Ordering::Relaxed)
+        self.lane.events.load(Ordering::Relaxed)
     }
 
-    /// Stop collection and assemble the offline profile ("reconstructing
-    /// the callstack to provide a user view of the program is done offline
-    /// after the application finishes", paper §IV).
+    /// Stop collection and assemble the offline profile.
     pub fn finish(self) -> Profile {
         let _ = self.handle.request_one(Request::Stop);
         // Health counters are lifetime totals and the query is answerable
         // in every phase, so post-Stop is fine.
-        let api_health = self.handle.query_health().unwrap_or_default();
-        let state = self.state;
-
-        let mut regions: Vec<RegionProfile> = state
-            .regions
-            .lock()
-            .iter()
-            .map(|(&region_id, acc)| RegionProfile {
-                region_id,
-                calls: acc.calls,
-                total_secs: clock::to_secs(acc.total_ticks),
-                mean_secs: clock::to_secs(acc.total_ticks) / acc.calls.max(1) as f64,
-                min_secs: clock::to_secs(acc.min_ticks),
-                max_secs: clock::to_secs(acc.max_ticks),
-            })
-            .collect();
-        regions.sort_by_key(|r| r.region_id);
-
-        let threads: Vec<ThreadProfile> = state
-            .threads
-            .iter()
-            .enumerate()
-            .filter_map(|(gtid, acc)| {
-                let acc = acc.lock();
-                (acc.ibar_count > 0).then(|| ThreadProfile {
-                    gtid,
-                    ibar_secs: clock::to_secs(acc.ibar_ticks),
-                    ibar_count: acc.ibar_count,
-                })
-            })
-            .collect();
-
-        // Offline user-model reconstruction of the recorded join stacks.
-        let table = psx::SymbolTable::global();
-        let mut tree = psx::CallTree::new();
-        let stacks = state.stacks.lock();
-        for (_region, dur, bt) in stacks.iter() {
-            let user = psx::reconstruct(bt, table);
-            tree.add(&user, clock::to_secs(*dur));
-        }
-
-        Profile {
-            regions,
-            threads,
-            call_tree: tree,
-            events_observed: state.events.load(Ordering::Relaxed),
-            join_samples: stacks.len() as u64,
-            api_health,
-        }
+        self.lane
+            .profile(self.handle.query_health().unwrap_or_default())
     }
 }
 

@@ -29,6 +29,8 @@ use psx::unwind::Backtrace;
 
 use crate::clock;
 use crate::discovery::RuntimeHandle;
+use crate::lanes::{self, Events, RegionTimer};
+use crate::profiler::call_tree;
 
 /// Policy knobs for selective collection.
 #[derive(Debug, Clone)]
@@ -59,13 +61,41 @@ struct SiteStats {
 
 struct SelState {
     policy: SelectivePolicy,
-    fork_tick: Mutex<HashMap<u64, u64>>,
+    regions: RegionTimer,
     /// Keyed by callstack signature (the calling context).
     sites: Mutex<HashMap<u64, SiteStats>>,
     stacks: Mutex<Vec<(u64, Backtrace)>>,
     joins: AtomicU64,
     skipped_small: AtomicU64,
     skipped_dedup: AtomicU64,
+}
+
+impl SelState {
+    fn on_event(&self, d: &EventData) {
+        if d.event == Event::Fork {
+            return self.regions.fork(d.region_id, clock::ticks());
+        }
+        self.joins.fetch_add(1, Ordering::Relaxed);
+        let dur = self.regions.close(d.region_id, clock::ticks());
+        // Duration gate: cheap comparison before any capture.
+        if clock::to_secs(dur) < self.policy.min_region_secs {
+            self.skipped_small.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let bt = psx::capture();
+        let sig = signature(&bt);
+        let mut sites = self.sites.lock();
+        let site = sites.entry(sig).or_default();
+        site.calls += 1;
+        site.total_ticks += dur;
+        if site.samples >= self.policy.max_samples_per_site {
+            self.skipped_dedup.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        site.samples += 1;
+        drop(sites);
+        self.stacks.lock().push((dur, bt));
+    }
 }
 
 fn signature(bt: &Backtrace) -> u64 {
@@ -85,60 +115,21 @@ pub struct SelectiveProfiler {
 impl SelectiveProfiler {
     /// Attach with `policy`.
     pub fn attach(handle: RuntimeHandle, policy: SelectivePolicy) -> OraResult<SelectiveProfiler> {
-        handle.request_one(Request::Start)?;
         let state = Arc::new(SelState {
             policy,
-            fork_tick: Mutex::new(HashMap::new()),
+            regions: RegionTimer::default(),
             sites: Mutex::new(HashMap::new()),
             stacks: Mutex::new(Vec::new()),
             joins: AtomicU64::new(0),
             skipped_small: AtomicU64::new(0),
             skipped_dedup: AtomicU64::new(0),
         });
-
-        {
-            let s = state.clone();
-            handle.register(
-                Event::Fork,
-                Arc::new(move |d: &EventData| {
-                    s.fork_tick.lock().insert(d.region_id, clock::ticks());
-                }),
-            )?;
-        }
-        {
-            let s = state.clone();
-            handle.register(
-                Event::Join,
-                Arc::new(move |d: &EventData| {
-                    s.joins.fetch_add(1, Ordering::Relaxed);
-                    let now = clock::ticks();
-                    let dur = s
-                        .fork_tick
-                        .lock()
-                        .remove(&d.region_id)
-                        .map(|t| now.saturating_sub(t))
-                        .unwrap_or(0);
-                    // Duration gate: cheap comparison before any capture.
-                    if clock::to_secs(dur) < s.policy.min_region_secs {
-                        s.skipped_small.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    let bt = psx::capture();
-                    let sig = signature(&bt);
-                    let mut sites = s.sites.lock();
-                    let site = sites.entry(sig).or_default();
-                    site.calls += 1;
-                    site.total_ticks += dur;
-                    if site.samples >= s.policy.max_samples_per_site {
-                        s.skipped_dedup.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    site.samples += 1;
-                    drop(sites);
-                    s.stacks.lock().push((dur, bt));
-                }),
-            )?;
-        }
+        let s = state.clone();
+        lanes::attach(
+            &handle,
+            Events::Only(&[Event::Fork, Event::Join]),
+            Arc::new(move |d: &EventData| s.on_event(d)),
+        )?;
         Ok(SelectiveProfiler { handle, state })
     }
 
@@ -147,21 +138,14 @@ impl SelectiveProfiler {
         let _ = self.handle.request_one(Request::Stop);
         let state = self.state;
         let distinct_sites = state.sites.lock().len() as u64;
-        let table = psx::SymbolTable::global();
-        let mut tree = psx::CallTree::new();
-        let stacks = state.stacks.lock();
-        for (dur, bt) in stacks.iter() {
-            tree.add(&psx::reconstruct(bt, table), clock::to_secs(*dur));
-        }
-        let sampled = stacks.len() as u64;
-        drop(stacks);
+        let (call_tree, sampled) = call_tree(&state.stacks.lock());
         SelectiveReport {
             joins: state.joins.load(Ordering::Relaxed),
             sampled,
             skipped_small: state.skipped_small.load(Ordering::Relaxed),
             skipped_dedup: state.skipped_dedup.load(Ordering::Relaxed),
             distinct_sites,
-            call_tree: tree,
+            call_tree,
         }
     }
 }

@@ -12,107 +12,38 @@
 
 use std::sync::Arc;
 
-use ora_core::sync::Mutex;
-
-use ora_core::event::ALL_EVENTS;
-use ora_core::request::{OraError, OraResult, Request, Response};
+use ora_core::registry::EventData;
+use ora_core::request::{OraResult, Request};
 use ora_core::state::{ThreadState, ALL_STATES, STATE_COUNT};
 
-use crate::clock;
 use crate::discovery::RuntimeHandle;
+use crate::lanes::{self, Events, StateTimes};
 use crate::report;
-
-/// Highest thread ID tracked.
-pub const MAX_THREADS: usize = 256;
-
-#[derive(Clone, Copy)]
-struct ThreadSlot {
-    last_tick: u64,
-    last_state: Option<ThreadState>,
-    per_state: [u64; STATE_COUNT],
-}
-
-impl Default for ThreadSlot {
-    fn default() -> Self {
-        ThreadSlot {
-            last_tick: 0,
-            last_state: None,
-            per_state: [0; STATE_COUNT],
-        }
-    }
-}
-
-struct TimerState {
-    threads: Vec<Mutex<ThreadSlot>>,
-}
 
 /// An attached state-time profiler.
 pub struct StateTimer {
     handle: RuntimeHandle,
-    state: Arc<TimerState>,
+    times: Arc<StateTimes>,
 }
 
 impl StateTimer {
     /// Attach: send `Start` and register a sampling callback on every
     /// supported event.
     pub fn attach(handle: RuntimeHandle) -> OraResult<StateTimer> {
-        handle.request_one(Request::Start)?;
-        let state = Arc::new(TimerState {
-            threads: (0..MAX_THREADS).map(|_| Mutex::default()).collect(),
-        });
-
-        for event in ALL_EVENTS {
-            let s = state.clone();
-            let h = handle.clone();
-            let result = h.clone().register(
-                event,
-                Arc::new(move |d| {
-                    if d.gtid >= MAX_THREADS {
-                        return;
-                    }
-                    let Ok(Response::State {
-                        state: now_state, ..
-                    }) = h.request_one(Request::QueryState)
-                    else {
-                        return;
-                    };
-                    let now = clock::ticks();
-                    let mut slot = s.threads[d.gtid].lock();
-                    if let Some(prev) = slot.last_state {
-                        let elapsed = now.saturating_sub(slot.last_tick);
-                        slot.per_state[prev.index()] += elapsed;
-                    }
-                    slot.last_tick = now;
-                    slot.last_state = Some(now_state);
-                }),
-            );
-            if let Err(e) = result {
-                if e != OraError::UnsupportedEvent {
-                    return Err(e);
-                }
-            }
-        }
-        Ok(StateTimer { handle, state })
+        let times = Arc::new(StateTimes::default());
+        let (t, h) = (times.clone(), handle.clone());
+        lanes::attach(
+            &handle,
+            Events::Supported,
+            Arc::new(move |d: &EventData| t.query(&h, d.gtid)),
+        )?;
+        Ok(StateTimer { handle, times })
     }
 
     /// Stop collection and produce the per-thread state-time profile.
     pub fn finish(self) -> StateProfile {
         let _ = self.handle.request_one(Request::Stop);
-        let threads = self
-            .state
-            .threads
-            .iter()
-            .enumerate()
-            .filter_map(|(gtid, slot)| {
-                let slot = slot.lock();
-                slot.last_state?;
-                Some(ThreadStateTimes {
-                    gtid,
-                    secs_per_state: std::array::from_fn(|i| clock::to_secs(slot.per_state[i])),
-                })
-            })
-            .collect();
-        StateProfile { threads }
+        self.times.profile()
     }
 }
 
@@ -151,6 +82,8 @@ impl ThreadStateTimes {
 pub struct StateProfile {
     /// Threads that produced at least one sample.
     pub threads: Vec<ThreadStateTimes>,
+    /// Callbacks the timer ran, across threads.
+    pub events: u64,
 }
 
 impl StateProfile {

@@ -4,11 +4,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use collector::{Mode, Profiler, ProfilerConfig, RuntimeHandle, StateSampler, Tracer};
+use collector::{Mode, Profiler, ProfilerConfig, RuntimeHandle, StateSampler, StreamingTracer};
 use omprt::{OpenMp, SourceFunction};
 use ora_core::event::Event;
 use ora_core::request::{OraError, Request, Response};
 use ora_core::state::ThreadState;
+use ora_fuzz::diff::unmatched_begins;
+use ora_trace::{MemorySink, TraceConfig, TraceReader};
 
 fn handle_for(rt: &OpenMp) -> RuntimeHandle {
     RuntimeHandle::discover_named(rt.symbol_name()).expect("runtime exports its symbol")
@@ -105,10 +107,22 @@ fn pause_resume_windows_scope_collection() {
     assert_eq!(profile.region_count(), 2);
 }
 
+/// Attach a tracer that keeps about `capacity` records in memory.
+fn attach_tracer(rt: &OpenMp, capacity: usize) -> StreamingTracer<MemorySink> {
+    let config = TraceConfig::with_total_capacity(capacity);
+    StreamingTracer::attach(handle_for(rt), config, MemorySink::new()).unwrap()
+}
+
+/// Finish `tracer` and read its trace back.
+fn read_back(tracer: StreamingTracer<MemorySink>) -> TraceReader {
+    let (sink, _) = tracer.finish().unwrap();
+    TraceReader::from_bytes(sink.into_bytes()).unwrap()
+}
+
 #[test]
 fn tracer_counts_match_runtime_counters() {
     let rt = OpenMp::with_threads(2);
-    let tracer = Tracer::attach(handle_for(&rt), 100_000).unwrap();
+    let tracer = attach_tracer(&rt, 100_000);
 
     for _ in 0..7 {
         rt.parallel(|ctx| {
@@ -119,33 +133,39 @@ fn tracer_counts_match_runtime_counters() {
     assert_eq!(tracer.region_calls(), 7);
     assert_eq!(tracer.region_calls(), rt.region_calls());
     // Workers fire their end-of-barrier events asynchronously after the
-    // master has already left the barrier; give them time to drain before
-    // stopping, or the trace legitimately ends with unmatched begins.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let trace = tracer.finish();
-    assert_eq!(trace.count(Event::Fork), 7);
-    assert_eq!(trace.count(Event::Join), 7);
+    // master has already left the barrier; join them before stopping, or
+    // the trace legitimately ends with unmatched begins.
+    drop(rt);
+    let trace = read_back(tracer);
+    let counts = trace.event_counts().unwrap();
+    assert_eq!(counts[Event::Fork.index()], 7);
+    assert_eq!(counts[Event::Join.index()], 7);
     // 2 threads × 7 regions × (1 explicit + 1 implicit barrier).
-    assert_eq!(trace.count(Event::ThreadBeginExplicitBarrier), 14);
-    assert_eq!(trace.count(Event::ThreadBeginImplicitBarrier), 14);
-    assert_eq!(trace.dropped, 0);
+    assert_eq!(counts[Event::ThreadBeginExplicitBarrier.index()], 14);
+    assert_eq!(counts[Event::ThreadBeginImplicitBarrier.index()], 14);
+    assert_eq!(trace.dropped(), 0);
     // Every begin has its end.
-    assert_eq!(trace.unmatched_begins(Event::ThreadBeginExplicitBarrier), 0);
-    assert_eq!(trace.unmatched_begins(Event::ThreadBeginImplicitBarrier), 0);
-    let head = trace.render_head(5);
-    assert_eq!(head.lines().count(), 5);
+    let records = trace.records().unwrap();
+    assert_eq!(
+        unmatched_begins(&records, Event::ThreadBeginExplicitBarrier),
+        0
+    );
+    assert_eq!(
+        unmatched_begins(&records, Event::ThreadBeginImplicitBarrier),
+        0
+    );
 }
 
 #[test]
 fn tracer_capacity_drops_but_keeps_counting() {
     let rt = OpenMp::with_threads(2);
-    let tracer = Tracer::attach(handle_for(&rt), 64).unwrap();
+    let tracer = attach_tracer(&rt, 64);
     for _ in 0..200 {
         rt.parallel(|_| {});
     }
-    let trace = tracer.finish();
-    assert_eq!(trace.count(Event::Fork), 200, "counters never drop");
-    assert!(trace.dropped > 0, "buffer should have overflowed");
+    assert_eq!(tracer.count(Event::Fork), 200, "counters never drop");
+    let trace = read_back(tracer);
+    assert!(trace.dropped() > 0, "buffer should have overflowed");
 }
 
 #[test]
@@ -223,8 +243,8 @@ fn stop_ends_collection_and_start_reinitializes() {
 fn two_collectors_on_two_runtimes_do_not_interfere() {
     let rt_a = OpenMp::with_threads(2);
     let rt_b = OpenMp::with_threads(2);
-    let trace_a = Tracer::attach(handle_for(&rt_a), 1000).unwrap();
-    let trace_b = Tracer::attach(handle_for(&rt_b), 1000).unwrap();
+    let trace_a = attach_tracer(&rt_a, 1000);
+    let trace_b = attach_tracer(&rt_b, 1000);
 
     rt_a.parallel(|_| {});
     rt_b.parallel(|_| {});

@@ -32,10 +32,10 @@ fn suite_produces_all_three_reports_consistently() {
     assert_eq!(profile.join_samples, 5);
 
     // Trace lane agrees with the profile on region counts.
-    let trace = report.trace.as_ref().unwrap();
-    assert_eq!(trace.count(Event::Fork), 5);
-    assert_eq!(trace.count(Event::Join), 5);
-    assert_eq!(trace.count(Event::ThreadBeginExplicitBarrier), 10);
+    let counts = report.trace.as_ref().unwrap().event_counts().unwrap();
+    assert_eq!(counts[Event::Fork.index()], 5);
+    assert_eq!(counts[Event::Join.index()], 5);
+    assert_eq!(counts[Event::ThreadBeginExplicitBarrier.index()], 10);
 
     // State lane saw work and barriers.
     let states = report.state_times.as_ref().unwrap();
@@ -48,6 +48,33 @@ fn suite_produces_all_three_reports_consistently() {
     assert!(text.contains("=== profile ==="));
     assert!(text.contains("=== state times ==="));
     assert!(text.contains("=== trace ==="));
+}
+
+#[test]
+fn suite_trace_is_key_ordered_and_agrees_with_the_profile() {
+    let rt = OpenMp::with_threads(2);
+    let tool = ToolSuite::attach(handle_for(&rt), SuiteConfig::default()).unwrap();
+    for _ in 0..9 {
+        rt.parallel(|ctx| {
+            ctx.for_each(0, 63, |i| {
+                std::hint::black_box(i);
+            });
+        });
+    }
+    drop(rt);
+    let report = tool.finish();
+
+    let trace = report.trace.as_ref().unwrap();
+    assert_eq!(trace.dropped(), 0);
+    let records = trace.records().unwrap();
+    assert!(records.len() > 18, "{} records", records.len());
+    for w in records.windows(2) {
+        assert!(w[0].key() < w[1].key(), "{:?} !< {:?}", w[0], w[1]);
+    }
+    let forks = records.iter().filter(|r| r.event == Event::Fork).count();
+    let profile = report.profile.as_ref().unwrap();
+    assert_eq!(forks, profile.region_count());
+    assert_eq!(forks, 9);
 }
 
 #[test]

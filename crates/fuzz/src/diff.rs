@@ -23,9 +23,8 @@
 //!    and its lane accounting must reconcile with the in-process chain.
 
 use collector::modes::CollectionConfig;
-use collector::tracer::Trace;
 use ora_core::event::Event;
-use ora_trace::{merge_ranks, TraceReader};
+use ora_trace::{merge_ranks, TraceEvent, TraceReader};
 
 use crate::exec::{run_under, RunOutcome};
 use crate::oracle;
@@ -123,7 +122,7 @@ fn diff_outcome(
         }
         CollectionConfig::StateQueries => {
             if s.events_observed == 0 {
-                push("state rung observed no threads".into());
+                push("state rung observed no events".into());
             }
         }
         CollectionConfig::StreamingTrace => {
@@ -264,44 +263,68 @@ fn diff_governed_trace(
     // Pairing survives sampling: checkable when nothing was lost to
     // backpressure and no pause window could swallow one side.
     if s.records_dropped == 0 && scenario.gates() == 0 {
-        let trace = match Trace::from_encoded(bytes) {
-            Ok(t) => t,
-            Err(e) => return push(format!("governed trace re-decode failed: {e}")),
-        };
-        if trace.count(Event::Fork) != trace.count(Event::Join) {
-            push(format!(
-                "sampled fork count {} != join count {}",
-                trace.count(Event::Fork),
-                trace.count(Event::Join)
-            ));
+        for detail in pairing_mismatches(&records) {
+            push(format!("sampling broke pairing: {detail}"));
         }
-        if trace.count(Event::LoopBegin) != trace.count(Event::LoopEnd) {
-            push(format!(
-                "sampled loop begin count {} != loop end count {}",
-                trace.count(Event::LoopBegin),
-                trace.count(Event::LoopEnd)
-            ));
+    }
+}
+
+/// The begin/end interval events whose pairing the differ checks.
+const PAIRED_BEGINS: [Event; 9] = [
+    Event::ThreadBeginImplicitBarrier,
+    Event::ThreadBeginExplicitBarrier,
+    Event::ThreadBeginLockWait,
+    Event::ThreadBeginCriticalWait,
+    Event::ThreadBeginOrderedWait,
+    Event::ThreadBeginMaster,
+    Event::ThreadBeginSingle,
+    Event::TaskBegin,
+    Event::TaskWaitBegin,
+];
+
+/// Event pairing over a complete trace: forks balance joins, loop
+/// begins balance loop ends, and every begin/end interval pairs up per
+/// thread. One message per broken check; empty means paired.
+pub fn pairing_mismatches(records: &[TraceEvent]) -> Vec<String> {
+    let count = |event: Event| records.iter().filter(|r| r.event == event).count();
+    let mut out = Vec::new();
+    for (begin, end, name) in [
+        (Event::Fork, Event::Join, ("fork", "join")),
+        (Event::LoopBegin, Event::LoopEnd, ("loop begin", "loop end")),
+    ] {
+        let (b, e) = (count(begin), count(end));
+        if b != e {
+            out.push(format!("{} count {b} != {} count {e}", name.0, name.1));
         }
-        for begin in [
-            Event::ThreadBeginImplicitBarrier,
-            Event::ThreadBeginExplicitBarrier,
-            Event::ThreadBeginLockWait,
-            Event::ThreadBeginCriticalWait,
-            Event::ThreadBeginOrderedWait,
-            Event::ThreadBeginMaster,
-            Event::ThreadBeginSingle,
-            Event::TaskBegin,
-            Event::TaskWaitBegin,
-        ] {
-            let unmatched = trace.unmatched_begins(begin);
-            if unmatched != 0 {
-                push(format!(
-                    "sampling broke pairing: {} unmatched {:?} interval(s)",
-                    unmatched, begin
-                ));
+    }
+    for begin in PAIRED_BEGINS {
+        let unmatched = unmatched_begins(records, begin);
+        if unmatched != 0 {
+            out.push(format!("{unmatched} unmatched {begin:?} interval(s)"));
+        }
+    }
+    out
+}
+
+/// Begin/end pairing of one interval event pair on each thread: the
+/// begins left open at the end plus the ends that had no open begin.
+pub fn unmatched_begins(records: &[TraceEvent], begin: Event) -> u64 {
+    let end = begin.pair().expect("paired event");
+    let mut depth: std::collections::HashMap<usize, u64> = Default::default();
+    let mut orphan_ends = 0u64;
+    for r in records {
+        let d = depth.entry(r.gtid).or_insert(0);
+        if r.event == begin {
+            *d += 1;
+        } else if r.event == end {
+            if *d > 0 {
+                *d -= 1;
+            } else {
+                orphan_ends += 1;
             }
         }
     }
+    depth.values().sum::<u64>() + orphan_ends
 }
 
 /// Split a trace file back into the units the recorder's sink was
@@ -520,39 +543,8 @@ fn diff_trace(
     // Event pairing: only checkable when nothing was lost and no pause
     // window could swallow one side of a pair.
     if s.records_dropped == 0 && scenario.gates() == 0 {
-        let trace = match Trace::from_encoded(bytes) {
-            Ok(t) => t,
-            Err(e) => return push(format!("trace re-decode failed: {e}")),
-        };
-        if trace.count(Event::Fork) != trace.count(Event::Join) {
-            push(format!(
-                "fork count {} != join count {}",
-                trace.count(Event::Fork),
-                trace.count(Event::Join)
-            ));
-        }
-        if trace.count(Event::LoopBegin) != trace.count(Event::LoopEnd) {
-            push(format!(
-                "loop begin count {} != loop end count {}",
-                trace.count(Event::LoopBegin),
-                trace.count(Event::LoopEnd)
-            ));
-        }
-        for begin in [
-            Event::ThreadBeginImplicitBarrier,
-            Event::ThreadBeginExplicitBarrier,
-            Event::ThreadBeginLockWait,
-            Event::ThreadBeginCriticalWait,
-            Event::ThreadBeginOrderedWait,
-            Event::ThreadBeginMaster,
-            Event::ThreadBeginSingle,
-            Event::TaskBegin,
-            Event::TaskWaitBegin,
-        ] {
-            let unmatched = trace.unmatched_begins(begin);
-            if unmatched != 0 {
-                push(format!("{} unmatched {:?} interval(s)", unmatched, begin));
-            }
+        for detail in pairing_mismatches(&records) {
+            push(detail);
         }
     }
 
@@ -596,5 +588,93 @@ fn diff_trace(
             (Err(e), _) | (_, Err(e)) => push(format!("rank merge failed: {e}")),
         },
         (Err(e), _) | (_, Err(e)) => push(format!("trace re-open failed: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ora_core::testutil::XorShift64;
+
+    fn ev(tick: u64, gtid: usize, event: Event) -> TraceEvent {
+        TraceEvent {
+            tick,
+            gtid,
+            seq: tick,
+            event,
+            region_id: 1,
+            wait_id: 0,
+        }
+    }
+
+    /// A trace made of perfectly nested begin/end pairs per thread has
+    /// zero unmatched begins.
+    #[test]
+    fn balanced_pairs_have_no_unmatched_begins() {
+        let mut rng = XorShift64::new(0x7ace_0003);
+        for _case in 0..256 {
+            let threads = rng.range_usize(1, 4);
+            let pairs_per_thread = rng.range_usize(0, 10);
+            let mut records = Vec::new();
+            let mut tick = 0u64;
+            for gtid in 0..threads {
+                for _ in 0..pairs_per_thread {
+                    records.push(ev(tick, gtid, Event::ThreadBeginImplicitBarrier));
+                    records.push(ev(tick + 1, gtid, Event::ThreadEndImplicitBarrier));
+                    tick += 2;
+                }
+            }
+            assert_eq!(
+                unmatched_begins(&records, Event::ThreadBeginImplicitBarrier),
+                0
+            );
+            assert!(pairing_mismatches(&records).is_empty());
+        }
+    }
+
+    #[test]
+    fn dangling_begin_counts_once() {
+        let records = [
+            ev(1, 0, Event::ThreadBeginLockWait),
+            ev(2, 0, Event::ThreadEndLockWait),
+            ev(3, 1, Event::ThreadBeginLockWait),
+        ];
+        assert_eq!(unmatched_begins(&records, Event::ThreadBeginLockWait), 1);
+        assert_eq!(
+            pairing_mismatches(&records),
+            ["1 unmatched ThreadBeginLockWait interval(s)"]
+        );
+    }
+
+    #[test]
+    fn orphan_end_counts_once() {
+        // The end on thread 1 has no begin on its own thread, even though
+        // thread 0 has one open.
+        let records = [
+            ev(1, 0, Event::ThreadBeginCriticalWait),
+            ev(2, 1, Event::ThreadEndCriticalWait),
+            ev(3, 0, Event::ThreadEndCriticalWait),
+        ];
+        assert_eq!(
+            unmatched_begins(&records, Event::ThreadBeginCriticalWait),
+            1
+        );
+    }
+
+    #[test]
+    fn unbalanced_fork_and_loop_counts_are_reported() {
+        let records = [
+            ev(1, 0, Event::Fork),
+            ev(2, 0, Event::LoopBegin),
+            ev(3, 0, Event::LoopEnd),
+            ev(4, 0, Event::LoopEnd),
+        ];
+        assert_eq!(
+            pairing_mismatches(&records),
+            [
+                "fork count 1 != join count 0",
+                "loop begin count 1 != loop end count 2"
+            ]
+        );
     }
 }

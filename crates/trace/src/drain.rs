@@ -63,13 +63,17 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
-    /// A config sized so all lanes together buffer about
-    /// `total_capacity` records (the legacy `Tracer::attach` contract).
+    /// A config that keeps about `total_capacity` records over the whole
+    /// recording: the lanes together buffer that many, and the drain
+    /// epoch is long enough (an hour) that nothing drains mid-run, so
+    /// records past the bound are dropped and counted. The final drain
+    /// in [`Recorder::finish`] persists what the lanes hold.
     pub fn with_total_capacity(total_capacity: usize) -> TraceConfig {
         let cfg = TraceConfig::default();
         let per_lane = (total_capacity / cfg.lanes).max(2);
         TraceConfig {
             capacity_per_lane: per_lane,
+            epoch: Duration::from_secs(3600),
             ..cfg
         }
     }

@@ -24,6 +24,10 @@ cargo test -q --offline --workspace
 # measurement loops keep compiling too — and keep them lint-clean.
 cargo build -p ora-bench --features bench --offline
 cargo clippy -p ora-bench --features bench --all-targets --offline -- -D warnings
+# The repository benchmark (perfbench/, its own workspace) builds against
+# the collector API; a breaking change there must fail here, not only in
+# the benchmark pipeline.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --all-targets
 
 # Fuzzer smoke slice: replay every curated regression case through the
 # oracle-differential harness via the CLI (the deep seeded sweep is the
