@@ -1,57 +1,42 @@
-//! Barrier ablations: central vs combining-tree algorithms, and the cost
-//! of the ORA events added to the implicit/explicit barrier runtime calls
-//! (the events are two of the three the paper's tool registers).
+//! Barrier costs: the central barrier's solo and contended episode
+//! latency, and the cost of the ORA events added to the
+//! implicit/explicit barrier runtime calls (the events are two of the
+//! three the paper's tool registers).
 
-use omprt::{Barrier, BarrierKind, Config, OpenMp};
-use ora_bench::microbench::{BenchmarkId, Criterion};
+use omprt::{Barrier, OpenMp};
+use ora_bench::microbench::Criterion;
 use ora_bench::{criterion_group, criterion_main};
 use ora_core::event::Event;
 use ora_core::request::Request;
 use std::sync::Arc;
 
-fn bench_barrier_algorithms(c: &mut Criterion) {
-    let mut g = c.benchmark_group("barrier_algorithm");
+fn bench_barrier_episodes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("barrier_solo");
     g.sample_size(20);
 
     // Single-thread episode cost: the arithmetic of arrival/release
     // without contention (contended behaviour is covered by the runtime
     // benches below).
-    for kind in [BarrierKind::Central, BarrierKind::Tree] {
-        g.bench_with_input(
-            BenchmarkId::new("solo_episode", format!("{kind:?}")),
-            &kind,
-            |b, &kind| {
-                let barrier = Barrier::new(kind, 1);
-                b.iter(|| barrier.wait(0));
-            },
-        );
-    }
+    g.bench_function("solo_episode", |b| {
+        let barrier = Barrier::new(1);
+        b.iter(|| barrier.wait(0));
+    });
     g.finish();
 
     let mut g = c.benchmark_group("runtime_barrier");
     g.sample_size(10);
-    let threads = 2;
-
-    for kind in [BarrierKind::Central, BarrierKind::Tree] {
-        g.bench_with_input(
-            BenchmarkId::new("explicit_barrier_region", format!("{kind:?}")),
-            &kind,
-            |b, &kind| {
-                let rt = OpenMp::with_config(Config {
-                    num_threads: threads,
-                    barrier: kind,
-                    ..Config::default()
-                });
-                rt.parallel(|_| {});
-                b.iter(|| {
-                    rt.parallel(|ctx| {
-                        for _ in 0..8 {
-                            ctx.barrier();
-                        }
-                    })
-                });
-            },
-        );
+    {
+        let rt = OpenMp::with_threads(2);
+        rt.parallel(|_| {});
+        g.bench_function("explicit_barrier_region", |b| {
+            b.iter(|| {
+                rt.parallel(|ctx| {
+                    for _ in 0..8 {
+                        ctx.barrier();
+                    }
+                })
+            });
+        });
     }
     g.finish();
 
@@ -62,26 +47,18 @@ fn bench_barrier_algorithms(c: &mut Criterion) {
     // dominated by barrier latency.
     let mut g = c.benchmark_group("barrier_contended_8thr");
     g.sample_size(10);
-    for kind in [BarrierKind::Central, BarrierKind::Tree] {
-        g.bench_with_input(
-            BenchmarkId::new("episodes_x16", format!("{kind:?}")),
-            &kind,
-            |b, &kind| {
-                let rt = OpenMp::with_config(Config {
-                    num_threads: 8,
-                    barrier: kind,
-                    ..Config::default()
-                });
-                rt.parallel(|_| {});
-                b.iter(|| {
-                    rt.parallel(|ctx| {
-                        for _ in 0..16 {
-                            ctx.barrier();
-                        }
-                    })
-                });
-            },
-        );
+    {
+        let rt = OpenMp::with_threads(8);
+        rt.parallel(|_| {});
+        g.bench_function("episodes_x16", |b| {
+            b.iter(|| {
+                rt.parallel(|ctx| {
+                    for _ in 0..16 {
+                        ctx.barrier();
+                    }
+                })
+            });
+        });
     }
     g.finish();
 }
@@ -129,5 +106,5 @@ fn bench_barrier_event_cost(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_barrier_algorithms, bench_barrier_event_cost);
+criterion_group!(benches, bench_barrier_episodes, bench_barrier_event_cost);
 criterion_main!(benches);

@@ -97,12 +97,12 @@ pub fn run_suite_with_progress(
 }
 
 /// The synchronization configuration the measured runtime actually used:
-/// the default barrier algorithm plus the host-adaptive spin budgets.
-/// Stamped into every document so a baseline produced under one barrier
-/// or spin policy is distinguishable from a run under another.
+/// the runtime's one barrier algorithm plus the host-adaptive spin
+/// budgets. Stamped into every document so a baseline produced under one
+/// spin policy is distinguishable from a run under another.
 fn sync_config() -> SyncConfig {
     SyncConfig {
-        barrier: omprt::Config::default().barrier.name().to_string(),
+        barrier: "central".to_string(),
         spin_budget_short: u64::from(omprt::spin::short_budget()),
         spin_budget_long: u64::from(omprt::spin::long_budget()),
     }
@@ -222,7 +222,7 @@ mod tests {
             }
         }
         let sc = doc.sync_config.as_ref().expect("runner stamps the config");
-        assert!(["central", "tree"].contains(&sc.barrier.as_str()));
+        assert_eq!(sc.barrier, "central");
         let parsed = BenchDoc::from_json(&doc.to_json()).unwrap();
         assert_eq!(parsed, doc);
     }

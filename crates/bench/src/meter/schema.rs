@@ -57,7 +57,7 @@ pub struct BenchDoc {
 /// paths and should not be ratio-gated against each other blindly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyncConfig {
-    /// Active barrier algorithm (`central` / `tree`).
+    /// Active barrier algorithm (`central`).
     pub barrier: String,
     /// Spin iterations before parking in short waits (locks).
     pub spin_budget_short: u64,

@@ -145,6 +145,21 @@ fn min_pinned_epoch() -> u64 {
         .unwrap_or(u64::MAX)
 }
 
+/// Wait for a grace period: bump the epoch, then yield until every
+/// reader slot is quiescent or pinned at or after the new epoch. Every
+/// read-side critical section that could have loaded a pointer retired
+/// before the call has then ended, so a following
+/// [`GarbageBag::collect`] frees everything retired so far. Must not be
+/// called while the calling thread holds a [`Pin`].
+#[cfg(test)]
+pub(crate) fn synchronize() {
+    READER.with(|r| debug_assert_eq!(r.depth.get(), 0, "synchronize() inside a pin"));
+    let target = EPOCH.fetch_add(1, Ordering::SeqCst) + 1;
+    while min_pinned_epoch() < target {
+        std::thread::yield_now();
+    }
+}
+
 struct Retired {
     stamp: u64,
     /// Dropping the box reclaims the retired object; the field is never
@@ -223,8 +238,10 @@ mod tests {
         bag.retire(Box::new(DropProbe(drops.clone())));
         // No pinned reader on this thread or others started by this test:
         // the retire itself may not free (stamp == its own epoch), but a
-        // follow-up retire or collect reclaims it.
+        // follow-up retire or collect reclaims it once readers pinned by
+        // other tests in this binary (the epoch is global) have left.
         bag.retire(Box::new(DropProbe(drops.clone())));
+        synchronize();
         bag.collect();
         assert_eq!(drops.load(Ordering::SeqCst), 2);
         assert_eq!(bag.pending(), 0);
@@ -241,6 +258,7 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         assert_eq!(bag.pending(), 1);
         drop(guard);
+        synchronize();
         bag.collect();
         assert_eq!(drops.load(Ordering::SeqCst), 1);
         assert_eq!(bag.pending(), 0);
@@ -251,6 +269,7 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         let bag = GarbageBag::new();
         bag.retire(Box::new(DropProbe(drops.clone())));
+        synchronize(); // other tests' readers pinned before the retire
         let _guard = pin(); // pinned at an epoch >= the retire stamp
         bag.collect();
         assert_eq!(drops.load(Ordering::SeqCst), 1);

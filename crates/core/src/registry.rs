@@ -452,7 +452,10 @@ mod tests {
             r.invoke(&EventData::bare(Event::Fork, 0));
         }
         r.unregister(Event::Fork);
-        // No reader is pinned now; one more collection round frees all.
+        // Readers pinned by other tests in this binary share the global
+        // epoch; after a grace period none can hold the retired slots,
+        // so one more collection round frees all.
+        crate::rcu::synchronize();
         r.garbage.collect();
         assert_eq!(r.pending_reclaims(), 0);
     }
@@ -531,6 +534,7 @@ mod tests {
         assert_eq!(stats.callback_panics, DEFAULT_QUARANTINE_THRESHOLD);
         assert_eq!(stats.callbacks_quarantined, 1);
         assert_eq!(r.panic_count(Event::Fork), 0); // reset on quarantine
+        crate::rcu::synchronize();
         r.garbage.collect();
         assert_eq!(r.pending_reclaims(), 0);
     }

@@ -1,181 +1,60 @@
-//! Team barriers.
+//! The team barrier.
 //!
-//! Two implementations are provided: a central sense-reversing barrier
-//! (the default) and a combining-tree barrier, both with bounded spinning
-//! before parking. The runtime exposes *distinct* implicit and explicit
-//! barrier entry points built on these — the paper had to split its single
-//! `__ompc_barrier` call into implicit/explicit variants so the two could
-//! be distinguished by tools (§IV-C2); we mirror that split at the
-//! runtime-call layer (`crate::context`).
+//! One implementation: a central sense-reversing barrier with bounded
+//! spinning before parking. The runtime exposes *distinct* implicit and
+//! explicit barrier entry points built on it — the paper had to split its
+//! single `__ompc_barrier` call into implicit/explicit variants so the two
+//! could be distinguished by tools (§IV-C2); we mirror that split at the
+//! runtime-call layer (`crate::context`), not in the algorithm.
 //!
 //! ## Scalability notes
 //!
-//! Arrival counters (the central counter and every tree node) and the
-//! sense flag live in [`CachePadded`] cells so an arrival `fetch_add`
-//! never invalidates the line a late spinner is polling. Waiting is
-//! per-thread: each participant owns a [`ParkSlot`] and the releaser
-//! unparks only the slots whose owners actually blocked — threads still
-//! in their spin phase cost the releaser one uncontended atomic swap, and
-//! there is no shared mutex or `notify_all` herd anywhere on the path.
-//! Counter *reset* is part of the release edge: the releaser zeroes every
-//! counter and only then publishes the sense flip, so a next-episode
-//! arrival (which must first have observed the flip) can never read a
-//! stale count.
+//! The arrival counter and the sense flag live in separate
+//! [`CachePadded`] cells so an arrival `fetch_add` never invalidates the
+//! line a late spinner is polling. Waiting is per-thread: each
+//! participant owns a [`ParkSlot`] and the releaser unparks only the
+//! slots whose owners actually blocked — threads still in their spin
+//! phase cost the releaser one uncontended atomic swap, and there is no
+//! shared mutex or `notify_all` herd anywhere on the path. Counter
+//! *reset* is part of the release edge: the releaser zeroes the counter
+//! and only then publishes the sense flip, so a next-episode arrival
+//! (which must first have observed the flip) can never read a stale
+//! count.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use ora_core::pad::CachePadded;
 use ora_core::park::ParkSlot;
 
-use crate::topology::Topology;
-
-/// Which barrier algorithm a runtime instance uses (ablation knob for the
-/// `barrier_ablation` bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BarrierKind {
-    /// Central sense-reversing barrier: one counter, one sense flag.
-    #[default]
-    Central,
-    /// Combining tree with fan-in 4: arrivals ascend a tree of counters,
-    /// release broadcasts through the shared sense flag.
-    Tree,
-    /// Topology-shaped combining tree: SMT siblings combine at the
-    /// leaves, cores combine into per-package subtrees, and package
-    /// representatives meet at a root whose fan-in is capped by
-    /// [`DEFAULT_ROOT_FANIN`]. The shape comes from
-    /// [`Topology::current`], so `OMP_ORA_TOPOLOGY` makes it
-    /// deterministic in tests and benches.
-    Shaped,
-}
-
-impl BarrierKind {
-    /// Stable lowercase name (used in BENCH json `config` blocks).
-    pub const fn name(self) -> &'static str {
-        match self {
-            BarrierKind::Central => "central",
-            BarrierKind::Tree => "tree",
-            BarrierKind::Shaped => "shaped",
-        }
-    }
-}
-
 /// A reusable barrier for a fixed-size team.
 pub struct Barrier {
     size: usize,
+    /// Arrivals in the current episode.
+    count: CachePadded<AtomicUsize>,
     /// Sense flag on its own line: written once per episode, polled by
     /// every spinner — must not share a line with the arrival counter.
     sense: CachePadded<AtomicBool>,
     /// One parking spot per participant, each on its own line.
     slots: Box<[CachePadded<ParkSlot>]>,
-    algo: Algo,
 }
-
-enum Algo {
-    Central {
-        count: CachePadded<AtomicUsize>,
-    },
-    Tree {
-        /// One arrival counter per tree node; node 0 is the root. A
-        /// thread's leaf node is `(size-1 + tid) / FANIN` in an implicit
-        /// heap layout over `ceil(size/FANIN)`-ary groups.
-        nodes: Vec<CachePadded<AtomicUsize>>,
-    },
-    Shaped {
-        nodes: Vec<ShapedNode>,
-        /// tid → index of the node this thread arrives at.
-        leaf_of: Vec<u32>,
-    },
-}
-
-/// One node of the topology-shaped combining tree: an explicit
-/// parent-pointer structure (unlike the fixed-fan-in implicit heap) so
-/// every node can have its own fan-in — SMT width at the leaves, cores
-/// per package above them, [`DEFAULT_ROOT_FANIN`]-capped near the root.
-struct ShapedNode {
-    count: CachePadded<AtomicUsize>,
-    /// Arrivals this node waits for (child climbers plus directly
-    /// attached threads).
-    fanin: u32,
-    /// Parent node index; `u32::MAX` marks the root.
-    parent: u32,
-}
-
-const NO_PARENT: u32 = u32::MAX;
-
-/// Fan-in of the combining tree.
-const FANIN: usize = 4;
-
-/// Root fan-in cap for the shaped tree: package representatives combine
-/// in groups of at most this many. Machines rarely have more than a
-/// handful of packages, so the root is usually a single node.
-pub const DEFAULT_ROOT_FANIN: usize = 8;
 
 impl Barrier {
-    /// A barrier for `size` threads using `kind`'s algorithm.
-    pub fn new(kind: BarrierKind, size: usize) -> Self {
+    /// A barrier for `size` threads.
+    pub fn new(size: usize) -> Self {
         assert!(size >= 1, "barrier needs at least one participant");
-        let algo = match kind {
-            BarrierKind::Central => Algo::Central {
-                count: CachePadded::new(AtomicUsize::new(0)),
-            },
-            BarrierKind::Tree => {
-                let leaves = size.div_ceil(FANIN);
-                // Internal nodes above the leaf layer, down to a single root.
-                let mut node_count = leaves;
-                let mut layer = leaves;
-                while layer > 1 {
-                    layer = layer.div_ceil(FANIN);
-                    node_count += layer;
-                }
-                Algo::Tree {
-                    nodes: (0..node_count.max(1))
-                        .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                        .collect(),
-                }
-            }
-            BarrierKind::Shaped => {
-                return Barrier::new_shaped(size, Topology::current(), DEFAULT_ROOT_FANIN)
-            }
-        };
         Barrier {
             size,
+            count: CachePadded::new(AtomicUsize::new(0)),
             sense: CachePadded::new(AtomicBool::new(false)),
             slots: (0..size)
                 .map(|_| CachePadded::new(ParkSlot::new()))
                 .collect(),
-            algo,
-        }
-    }
-
-    /// A topology-shaped combining-tree barrier with an explicit machine
-    /// model and root fan-in cap (the configurable form behind
-    /// [`BarrierKind::Shaped`]; benches and shape-edge-case tests inject
-    /// topologies here directly).
-    pub fn new_shaped(size: usize, topo: Topology, root_fanin: usize) -> Self {
-        assert!(size >= 1, "barrier needs at least one participant");
-        let (nodes, leaf_of) = build_shaped_tree(size, topo, root_fanin.max(2));
-        Barrier {
-            size,
-            sense: CachePadded::new(AtomicBool::new(false)),
-            slots: (0..size)
-                .map(|_| CachePadded::new(ParkSlot::new()))
-                .collect(),
-            algo: Algo::Shaped { nodes, leaf_of },
         }
     }
 
     /// Number of participating threads.
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// The algorithm this barrier runs.
-    pub fn kind(&self) -> BarrierKind {
-        match self.algo {
-            Algo::Central { .. } => BarrierKind::Central,
-            Algo::Tree { .. } => BarrierKind::Tree,
-            Algo::Shaped { .. } => BarrierKind::Shaped,
-        }
     }
 
     /// Wait until all `size` threads have called `wait` for this episode.
@@ -186,29 +65,12 @@ impl Barrier {
             return; // solo team: nothing to synchronize
         }
         let local_sense = !self.sense.load(Ordering::Relaxed);
-        let is_releaser = match &self.algo {
-            Algo::Central { count } => count.fetch_add(1, Ordering::AcqRel) + 1 == self.size,
-            Algo::Tree { nodes } => self.tree_arrive(nodes, tid),
-            Algo::Shaped { nodes, leaf_of } => shaped_arrive(nodes, leaf_of[tid]),
-        };
-        if is_releaser {
+        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.size {
             // Reset *before* the sense flip so the reset is ordered into
             // the release edge: a thread can only start the next episode
-            // after acquiring the flip, which makes these plain stores
+            // after acquiring the flip, which makes this plain store
             // visible to it.
-            match &self.algo {
-                Algo::Central { count } => count.store(0, Ordering::Relaxed),
-                Algo::Tree { nodes } => {
-                    for node in nodes.iter() {
-                        node.store(0, Ordering::Relaxed);
-                    }
-                }
-                Algo::Shaped { nodes, .. } => {
-                    for node in nodes.iter() {
-                        node.count.store(0, Ordering::Relaxed);
-                    }
-                }
-            }
+            self.count.store(0, Ordering::Relaxed);
             self.sense.store(local_sense, Ordering::Release);
             // Targeted wake: one swap per slot, a syscall only for owners
             // that actually parked (ParkSlot reports PARKED state).
@@ -224,150 +86,11 @@ impl Barrier {
             });
         }
     }
-
-    /// Ascend the combining tree; returns whether this thread is the last
-    /// overall arrival (the releaser). Node counters are *not* reset here;
-    /// the releaser zeroes them all before publishing the sense flip.
-    fn tree_arrive(&self, nodes: &[CachePadded<AtomicUsize>], tid: usize) -> bool {
-        // Layer sizes from leaves up to the root.
-        let mut layer_sizes = Vec::new();
-        let mut layer = self.size;
-        loop {
-            layer = layer.div_ceil(FANIN);
-            layer_sizes.push(layer);
-            if layer <= 1 {
-                break;
-            }
-        }
-        // Node indices: leaves occupy the *end* of the flat vec, the root
-        // is index 0. Compute layer offsets root-first.
-        let mut offsets = vec![0usize; layer_sizes.len()];
-        {
-            let mut off = 0;
-            for (i, &sz) in layer_sizes.iter().enumerate().rev() {
-                offsets[i] = off;
-                off += sz;
-            }
-        }
-        let mut index_in_layer = tid;
-        let mut members = self.size; // members feeding into this layer
-        for (level, &layer_size) in layer_sizes.iter().enumerate() {
-            let node_in_layer = index_in_layer / FANIN;
-            // Fan-in of this specific node: last node may be partial.
-            let full = members / FANIN;
-            let fanin = if node_in_layer < full {
-                FANIN
-            } else {
-                members - full * FANIN
-            };
-            let fanin = if fanin == 0 { FANIN } else { fanin };
-            let node = &nodes[offsets[level] + node_in_layer];
-            let prev = node.fetch_add(1, Ordering::AcqRel);
-            if prev + 1 < fanin {
-                return false; // not the last into this node
-            }
-            index_in_layer = node_in_layer;
-            members = layer_size;
-            if layer_size == 1 {
-                return true; // climbed out of the root
-            }
-        }
-        true
-    }
-}
-
-/// Climb the shaped tree from `leaf`; returns whether this thread is the
-/// overall releaser. Counters are reset by the releaser before the sense
-/// flip, exactly like the fixed-fan-in tree.
-fn shaped_arrive(nodes: &[ShapedNode], leaf: u32) -> bool {
-    let mut idx = leaf;
-    loop {
-        let node = &nodes[idx as usize];
-        let prev = node.count.fetch_add(1, Ordering::AcqRel);
-        if prev + 1 < node.fanin as usize {
-            return false; // not the last arrival into this node
-        }
-        if node.parent == NO_PARENT {
-            return true; // climbed out of the root
-        }
-        idx = node.parent;
-    }
-}
-
-/// Builds the shaped combining tree for `size` threads on `topo`.
-///
-/// Construction walks the hierarchy bottom-up with one grouping extent
-/// per level — SMT width, then cores-per-package, then `root_fanin`
-/// repeatedly until a single root remains. Units (threads at the bottom,
-/// node representatives above) are chunked consecutively, which under the
-/// compact gtid assignment puts SMT siblings in one leaf and one
-/// package's cores in one subtree. A chunk with a single unit allocates
-/// no node: the unit passes through to the next level, so degenerate
-/// extents (SMT-less machines, 1-package shapes) cost nothing.
-fn build_shaped_tree(
-    size: usize,
-    topo: Topology,
-    root_fanin: usize,
-) -> (Vec<ShapedNode>, Vec<u32>) {
-    enum Unit {
-        Thread(u32),
-        Node(u32),
-    }
-    let mut nodes: Vec<ShapedNode> = Vec::new();
-    let mut leaf_of = vec![NO_PARENT; size];
-    let mut units: Vec<Unit> = (0..size as u32).map(Unit::Thread).collect();
-    let mut extents = vec![topo.smt_per_core(), topo.cores_per_package()];
-    // Enough root_fanin levels to always converge to one unit.
-    let mut width = topo.packages().max(units.len());
-    while width > 1 {
-        extents.push(root_fanin);
-        width = width.div_ceil(root_fanin);
-    }
-    for extent in extents {
-        if units.len() <= 1 {
-            break;
-        }
-        if extent <= 1 {
-            continue;
-        }
-        let mut next: Vec<Unit> = Vec::with_capacity(units.len().div_ceil(extent));
-        for chunk in units.chunks(extent) {
-            if chunk.len() == 1 {
-                // Pass the lone unit through; re-wrap to move ownership.
-                next.push(match chunk[0] {
-                    Unit::Thread(t) => Unit::Thread(t),
-                    Unit::Node(n) => Unit::Node(n),
-                });
-                continue;
-            }
-            let id = nodes.len() as u32;
-            nodes.push(ShapedNode {
-                count: CachePadded::new(AtomicUsize::new(0)),
-                fanin: chunk.len() as u32,
-                parent: NO_PARENT,
-            });
-            for unit in chunk {
-                match *unit {
-                    Unit::Thread(t) => leaf_of[t as usize] = id,
-                    Unit::Node(n) => nodes[n as usize].parent = id,
-                }
-            }
-            next.push(Unit::Node(id));
-        }
-        units = next;
-    }
-    debug_assert!(units.len() <= 1);
-    debug_assert!(size < 2 || nodes.iter().filter(|n| n.parent == NO_PARENT).count() == 1);
-    debug_assert!(size < 2 || leaf_of.iter().all(|&l| l != NO_PARENT));
-    (nodes, leaf_of)
 }
 
 impl std::fmt::Debug for Barrier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Barrier")
-            .field("size", &self.size)
-            .field("kind", &self.kind())
-            .finish()
+        f.debug_struct("Barrier").field("size", &self.size).finish()
     }
 }
 
@@ -377,8 +100,8 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    fn exercise(kind: BarrierKind, threads: usize, episodes: usize) {
-        let barrier = Arc::new(Barrier::new(kind, threads));
+    fn exercise(threads: usize, episodes: usize) {
+        let barrier = Arc::new(Barrier::new(threads));
         let phase = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..threads)
             .map(|tid| {
@@ -407,35 +130,19 @@ mod tests {
 
     #[test]
     fn central_barrier_synchronizes_and_reuses() {
-        exercise(BarrierKind::Central, 4, 50);
-    }
-
-    #[test]
-    fn tree_barrier_synchronizes_and_reuses() {
-        exercise(BarrierKind::Tree, 4, 50);
-    }
-
-    #[test]
-    fn tree_barrier_handles_odd_team_sizes() {
-        for threads in [1, 2, 3, 5, 6, 7, 9, 13] {
-            exercise(BarrierKind::Tree, threads, 10);
-        }
+        exercise(4, 50);
     }
 
     #[test]
     fn central_barrier_handles_odd_team_sizes() {
         for threads in [1, 2, 3, 5, 7] {
-            exercise(BarrierKind::Central, threads, 10);
+            exercise(threads, 10);
         }
     }
 
     #[test]
     fn single_thread_barrier_is_a_no_op() {
-        let b = Barrier::new(BarrierKind::Central, 1);
-        for _ in 0..10 {
-            b.wait(0);
-        }
-        let b = Barrier::new(BarrierKind::Tree, 1);
+        let b = Barrier::new(1);
         for _ in 0..10 {
             b.wait(0);
         }
@@ -444,115 +151,11 @@ mod tests {
     #[test]
     fn parked_waiters_are_released() {
         // Force parking by making one thread arrive long after the others.
-        let b = Arc::new(Barrier::new(BarrierKind::Central, 2));
+        let b = Arc::new(Barrier::new(2));
         let b2 = b.clone();
         let h = std::thread::spawn(move || b2.wait(1));
         std::thread::sleep(std::time::Duration::from_millis(50));
         b.wait(0);
         h.join().unwrap();
-    }
-
-    #[test]
-    fn kind_is_reported() {
-        assert_eq!(Barrier::new(BarrierKind::Tree, 3).kind(), BarrierKind::Tree);
-        assert_eq!(
-            Barrier::new(BarrierKind::Shaped, 3).kind(),
-            BarrierKind::Shaped
-        );
-        assert_eq!(BarrierKind::Central.name(), "central");
-        assert_eq!(BarrierKind::Tree.name(), "tree");
-        assert_eq!(BarrierKind::Shaped.name(), "shaped");
-    }
-
-    fn exercise_shaped(topo: Topology, threads: usize, episodes: usize) {
-        let barrier = Arc::new(Barrier::new_shaped(threads, topo, DEFAULT_ROOT_FANIN));
-        let phase = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let barrier = barrier.clone();
-                let phase = phase.clone();
-                std::thread::spawn(move || {
-                    for ep in 0..episodes {
-                        assert_eq!(phase.load(Ordering::SeqCst) / threads as u64, ep as u64);
-                        phase.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait(tid);
-                        assert!(phase.load(Ordering::SeqCst) >= ((ep + 1) * threads) as u64);
-                        barrier.wait(tid);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(phase.load(Ordering::SeqCst), (threads * episodes) as u64);
-    }
-
-    #[test]
-    fn shaped_barrier_synchronizes_under_matching_topology() {
-        exercise_shaped(Topology::new(2, 4, 2), 16, 20);
-    }
-
-    #[test]
-    fn shaped_barrier_handles_shape_edge_cases() {
-        // 1-package, SMT-less, odd team sizes vs injected shapes, and
-        // oversubscription past the slot count.
-        for (topo, threads) in [
-            (Topology::new(1, 4, 1), 4),  // 1 package, SMT-less, exact fit
-            (Topology::new(1, 1, 1), 5),  // everything oversubscribed
-            (Topology::new(2, 4, 2), 7),  // odd team inside one machine
-            (Topology::new(2, 4, 2), 33), // odd + oversubscribed
-            (Topology::new(4, 1, 2), 9),  // many tiny packages
-            (Topology::new(2, 3, 1), 13), // SMT-less, odd cores
-        ] {
-            exercise_shaped(topo, threads, 10);
-        }
-    }
-
-    #[test]
-    fn shaped_tree_structure_is_well_formed() {
-        for (topo, size) in [
-            (Topology::new(2, 4, 2), 16),
-            (Topology::new(2, 4, 2), 5),
-            (Topology::new(1, 8, 1), 8),
-            (Topology::new(1, 1, 1), 64),
-            (Topology::new(16, 1, 1), 32),
-        ] {
-            let (nodes, leaf_of) = build_shaped_tree(size, topo, 2);
-            assert_eq!(leaf_of.len(), size);
-            // Exactly one root; every thread reaches it.
-            let roots: Vec<usize> = (0..nodes.len())
-                .filter(|&i| nodes[i].parent == NO_PARENT)
-                .collect();
-            assert_eq!(roots.len(), 1, "topo {topo:?} size {size}");
-            for &leaf in &leaf_of {
-                let mut idx = leaf as usize;
-                let mut hops = 0;
-                while nodes[idx].parent != NO_PARENT {
-                    idx = nodes[idx].parent as usize;
-                    hops += 1;
-                    assert!(hops <= nodes.len(), "cycle in shaped tree");
-                }
-                assert_eq!(idx, roots[0]);
-            }
-            // Total arrivals across nodes = threads + one climb per
-            // non-root node.
-            let total_fanin: usize = nodes.iter().map(|n| n.fanin as usize).sum();
-            assert_eq!(total_fanin, size + nodes.len() - 1);
-            // No degenerate single-arrival nodes survive construction.
-            assert!(nodes.iter().all(|n| n.fanin >= 2));
-        }
-    }
-
-    #[test]
-    fn shaped_leaves_group_smt_siblings() {
-        let topo = Topology::new(2, 2, 2);
-        let (_, leaf_of) = build_shaped_tree(8, topo, 2);
-        // Compact assignment: gtids (0,1), (2,3), … are SMT pairs and
-        // must share a leaf; adjacent pairs must not.
-        for pair in 0..4 {
-            assert_eq!(leaf_of[2 * pair], leaf_of[2 * pair + 1]);
-        }
-        assert_ne!(leaf_of[1], leaf_of[2]);
     }
 }

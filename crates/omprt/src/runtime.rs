@@ -75,6 +75,11 @@ pub(crate) fn syms() -> &'static RuntimeSyms {
 
 static INSTANCE_IDS: AtomicU64 = AtomicU64::new(1);
 
+/// Hard cap on pool size (top-level team + all nested leases). A nested
+/// team whose members the capped pool cannot supply gets the shortfall
+/// as ephemeral scoped threads.
+const MAX_POOL: usize = 512;
+
 /// State shared between the master API, the worker pool, and the collector
 /// provider.
 pub(crate) struct Shared {
@@ -442,13 +447,8 @@ impl OpenMp {
             } else {
                 let (_gtid, desc, team) = tls::lookup(shared.instance).expect("bound");
                 let outer = team.expect("in_parallel implies a team");
-                let solo = Team::new_at_level(
-                    outer.region_id,
-                    outer.parent_region_id,
-                    1,
-                    crate::barrier::BarrierKind::Central,
-                    outer.level + 1,
-                );
+                let solo =
+                    Team::new_at_level(outer.region_id, outer.parent_region_id, 1, outer.level + 1);
                 // Make the solo team current for the duration of the
                 // body: `omp_get_level` counts serialized regions too,
                 // so a deeper serialized nest must see *this* level as
@@ -485,7 +485,7 @@ impl OpenMp {
 
         let region_id = shared.region_counter.fetch_add(1, Ordering::Relaxed) + 1;
         shared.region_calls.fetch_add(1, Ordering::Relaxed);
-        let team = Team::new(region_id, 0, n, shared.config.barrier);
+        let team = Team::new(region_id, 0, n);
 
         // The fork event fires before any worker is created or woken
         // (paper: "just before the call pthread_create()").
@@ -561,9 +561,8 @@ impl OpenMp {
     /// Sub-team members come from the persistent pool: parked workers
     /// outside the running top-level team are leased (topology-compactly,
     /// preferring the nested master's package) and woken through their
-    /// private [`LeaseSlot`] doorbells. Only the shortfall — pool
-    /// exhausted, or `Config::nested_ephemeral` forcing the old behaviour
-    /// for ablation — is covered by ephemeral scoped threads. Both paths
+    /// private [`LeaseSlot`] doorbells. Only the shortfall past
+    /// [`MAX_POOL`] is covered by ephemeral scoped threads. Both paths
     /// emit identical fork/join/level event streams; they differ only in
     /// thread provenance (and therefore descriptor visibility).
     fn nested_parallel<F: Fn(&ParCtx<'_>) + Sync>(&self, n: usize, region: &RegionHandle, f: &F) {
@@ -573,13 +572,7 @@ impl OpenMp {
 
         let region_id = shared.region_counter.fetch_add(1, Ordering::Relaxed) + 1;
         shared.region_calls.fetch_add(1, Ordering::Relaxed);
-        let team = Team::new_at_level(
-            region_id,
-            outer.region_id,
-            n,
-            shared.config.barrier,
-            outer.level + 1,
-        );
+        let team = Team::new_at_level(region_id, outer.region_id, n, outer.level + 1);
 
         let fork_frame = psx::enter(syms().fork);
         // The inner master is in the overhead state while forking, and the
@@ -590,7 +583,7 @@ impl OpenMp {
 
         // Lease parked pool workers for the sub-team (growing the pool up
         // to a bound first, so steady-state nested forking never spawns).
-        let leased = if n > 1 && !shared.config.nested_ephemeral {
+        let leased = if n > 1 {
             self.ensure_lease_capacity(n - 1);
             shared.claim_lease_workers(n - 1, outer_gtid)
         } else {
@@ -722,8 +715,6 @@ impl OpenMp {
     /// limit; the shortfall past the bound falls back to ephemeral
     /// threads in the caller.
     fn ensure_lease_capacity(&self, want: usize) {
-        /// Hard cap on pool size (top-level team + all leases).
-        const MAX_POOL: usize = 512;
         let target = self
             .shared
             .slot
@@ -792,5 +783,51 @@ impl std::fmt::Debug for OpenMp {
             .field("num_threads", &self.shared.config.num_threads)
             .field("region_calls", &self.region_calls())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A nested team wider than the pool cap leases what the capped pool
+    /// holds and spawns the shortfall as scoped threads. Results, parent
+    /// chains and region accounting do not depend on which path supplied
+    /// a member, and repeating the fork never grows the pool past the cap.
+    #[test]
+    fn nested_team_past_pool_cap_falls_back_to_scoped_threads() {
+        let rt = OpenMp::with_config(Config {
+            num_threads: 1,
+            nested: true,
+            ..Config::default()
+        });
+        let width = MAX_POOL + 2;
+        let sum = AtomicUsize::new(0);
+        let members = AtomicUsize::new(0);
+        let run = || {
+            rt.parallel(|ctx| {
+                let outer_id = ctx.region_id();
+                rt.parallel_n(width, |inner| {
+                    assert_eq!(inner.parent_region_id(), outer_id);
+                    assert_eq!(inner.level(), 2);
+                    members.fetch_add(1, Ordering::SeqCst);
+                    let mut local = 0usize;
+                    inner.for_each(0, 99, |i| local += i as usize);
+                    sum.fetch_add(local, Ordering::SeqCst);
+                });
+            });
+        };
+        run();
+        let pooled = rt.spawned_workers();
+        assert!(pooled <= MAX_POOL, "pool grew past the cap: {pooled}");
+        assert!(
+            pooled + 1 < width,
+            "the capped pool cannot supply {width} members; the fallback must"
+        );
+        run();
+        assert_eq!(members.load(Ordering::SeqCst), 2 * width);
+        assert_eq!(sum.load(Ordering::SeqCst), 2 * (99 * 100 / 2));
+        assert_eq!(rt.region_calls(), 4);
+        assert_eq!(rt.spawned_workers(), pooled, "the pool stays capped");
     }
 }

@@ -1,11 +1,10 @@
-//! Machine-topology model for hierarchical scheduling.
+//! Machine-topology model.
 //!
-//! The runtime's hot paths (tree barriers, the batched loop claimer, and
-//! pooled nested-team assignment) all want to know how hardware threads
-//! group into cores and packages: SMT siblings share an L1/L2 and combine
-//! cheaply, threads on one package share a last-level cache, and crossing
-//! packages is the expensive hop. This module gives them a single regular
-//! model — `packages × cores-per-package × SMT-per-core` — detected from
+//! Pooled nested-team assignment wants to know how hardware threads
+//! group into cores and packages: SMT siblings share an L1/L2, threads
+//! on one package share a last-level cache, and crossing packages is the
+//! expensive hop. This module gives it (and host fingerprints) a single
+//! regular model — `packages × cores-per-package × SMT-per-core` — detected from
 //! `/sys/devices/system/cpu` on Linux, or injected deterministically via
 //! the `OMP_ORA_TOPOLOGY` environment variable (`"2x4x2"` means 2
 //! packages, 4 cores each, 2 SMT slots per core). Benches and CI use the
@@ -186,18 +185,6 @@ impl Topology {
     pub fn package_of(&self, gtid: usize) -> usize {
         self.location_of(gtid).package
     }
-
-    /// How many distinct packages a compact team of `size` threads spans
-    /// (at least 1, at most [`Self::packages`]).
-    pub fn packages_spanned(&self, size: usize) -> usize {
-        if size == 0 {
-            return 1;
-        }
-        if size >= self.slots() {
-            return self.packages;
-        }
-        size.div_ceil(self.package_size()).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -260,17 +247,6 @@ mod tests {
         // Oversubscription wraps.
         assert_eq!(t.location_of(8), locs[0]);
         assert_eq!(t.location_of(13), locs[5]);
-    }
-
-    #[test]
-    fn packages_spanned_is_compact() {
-        let t = Topology::new(2, 4, 2); // package_size 8, slots 16
-        assert_eq!(t.packages_spanned(1), 1);
-        assert_eq!(t.packages_spanned(8), 1);
-        assert_eq!(t.packages_spanned(9), 2);
-        assert_eq!(t.packages_spanned(16), 2);
-        assert_eq!(t.packages_spanned(64), 2);
-        assert_eq!(t.packages_spanned(0), 1);
     }
 
     #[test]

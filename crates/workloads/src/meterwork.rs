@@ -18,7 +18,7 @@
 //! LU-HP's partition-dependent wavefronts would make the checksum — and
 //! worse, the work distribution — depend on scheduling.
 
-use omprt::{BarrierKind, Config, OpenMp, Schedule};
+use omprt::{Config, OpenMp, Schedule};
 
 use crate::epcc::{self, Directive, EpccConfig};
 use crate::npb::{NpbClass, NpbKernel};
@@ -73,11 +73,10 @@ pub enum MeterSuite {
     /// the submission path) and the single-producer shape (distribution
     /// of work to otherwise-idle threads).
     Tasks,
-    /// Topology-aware scheduling microbenchmarks: pooled vs ephemeral
-    /// nested fork (the sub-team leasing ablation) and the
-    /// topology-shaped combining-tree barrier vs the flat fan-in-4 tree
-    /// under heavy oversubscription. Run with `OMP_ORA_TOPOLOGY`
-    /// injected so the shaped tree is identical on every host.
+    /// Topology-aware scheduling microbenchmarks: a nested-fork storm
+    /// served by leased pool workers and a dynamic-schedule claim probe.
+    /// Run with `OMP_ORA_TOPOLOGY` injected so the lease order is
+    /// identical on every host.
     Topo,
 }
 
@@ -189,9 +188,8 @@ pub struct MeterWorkload {
     unit: WorkUnit,
     /// Runtime configuration this workload must run under; `None` means
     /// the runner's default (its `threads` setting, default everything
-    /// else). The topo and sync suites pin team sizes, barrier
-    /// algorithms, and nesting modes per workload, so a single runner
-    /// invocation can compare them like-for-like.
+    /// else). The topo and sync suites pin team sizes and nesting per
+    /// workload.
     config: Option<Config>,
 }
 
@@ -418,56 +416,29 @@ pub fn meter_workloads(suite: MeterSuite, scale: MeterScale) -> Vec<MeterWorkloa
             ]
         }
         MeterSuite::Topo => {
-            // Ablation pairs differing only in the knob under test.
             // Nested fork: a 2-thread outer team whose master repeatedly
-            // forks a 16-wide sub-team — leased from the pool vs spawned
-            // as ephemeral OS threads. Barrier: a 32-thread
-            // oversubscribed storm under the topology-shaped combining
-            // tree vs the flat fan-in-4 tree.
-            let (forks, episodes) = match scale {
-                MeterScale::Quick => (25, 60),
-                MeterScale::Full => (120, 300),
-            };
-            let nested_fork = |name: &str, ephemeral: bool| MeterWorkload {
-                name: name.to_string(),
-                suite: MeterSuite::Topo,
-                unit: WorkUnit::NestedFork { width: 16, forks },
-                config: Some(Config {
-                    num_threads: 2,
-                    nested: true,
-                    nested_ephemeral: ephemeral,
-                    ..Config::default()
-                }),
-            };
-            let storm = |name: &str, barrier: BarrierKind| MeterWorkload {
-                name: name.to_string(),
-                suite: MeterSuite::Topo,
-                unit: WorkUnit::Sync {
-                    kind: SyncKind::BarrierStorm,
-                    inner: episodes,
-                },
-                config: Some(Config {
-                    num_threads: 32,
-                    barrier,
-                    ..Config::default()
-                }),
-            };
+            // forks a 16-wide sub-team from leased pool workers.
             // Claimer probe: a 16-thread dynamic(2) loop whose chunks are
-            // claimed through the schedule layer. The hierarchical claimer
-            // has no Config knob — it engages when the team spans more
-            // than one package of `Topology::current()` — so the ablation
-            // is across runs: under OMP_ORA_TOPOLOGY=2x4x2 the 16 threads
-            // span 2 packages (per-package claim tiers), under 1x16x1
-            // they collapse to the flat global claim line.
+            // claimed through the schedule layer's batched claimer.
+            let forks = match scale {
+                MeterScale::Quick => 25,
+                MeterScale::Full => 120,
+            };
             let (claim_iters, claim_eps) = match scale {
                 MeterScale::Quick => (4096, 40),
                 MeterScale::Full => (4096, 200),
             };
             vec![
-                nested_fork("nested-pooled-16", false),
-                nested_fork("nested-ephemeral-16", true),
-                storm("barrier-shaped-32", BarrierKind::Shaped),
-                storm("barrier-tree-32", BarrierKind::Tree),
+                MeterWorkload {
+                    name: "nested-pooled-16".to_string(),
+                    suite: MeterSuite::Topo,
+                    unit: WorkUnit::NestedFork { width: 16, forks },
+                    config: Some(Config {
+                        num_threads: 2,
+                        nested: true,
+                        ..Config::default()
+                    }),
+                },
                 MeterWorkload {
                     name: "dynamic-claim-16".to_string(),
                     suite: MeterSuite::Topo,
@@ -616,16 +587,7 @@ mod tests {
         assert_eq!(names, ["spawn-flood", "producer-steal"]);
         let topo = meter_workloads(MeterSuite::Topo, MeterScale::Quick);
         let names: Vec<&str> = topo.iter().map(|w| w.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "nested-pooled-16",
-                "nested-ephemeral-16",
-                "barrier-shaped-32",
-                "barrier-tree-32",
-                "dynamic-claim-16"
-            ]
-        );
+        assert_eq!(names, ["nested-pooled-16", "dynamic-claim-16"]);
     }
 
     #[test]
@@ -642,25 +604,12 @@ mod tests {
                 .unwrap_or_else(|| panic!("{name} must pin a config"))
         };
         assert!(cfg("nested-pooled-16").nested);
-        assert!(!cfg("nested-pooled-16").nested_ephemeral);
-        assert!(cfg("nested-ephemeral-16").nested_ephemeral);
-        assert_eq!(cfg("barrier-shaped-32").barrier, BarrierKind::Shaped);
-        assert_eq!(cfg("barrier-shaped-32").num_threads, 32);
-        assert_eq!(cfg("barrier-tree-32").barrier, BarrierKind::Tree);
-        // 16 threads span 2 packages under the 2x4x2 reference shape, so
-        // the claimer probe actually exercises the hierarchical path there.
+        assert_eq!(cfg("nested-pooled-16").num_threads, 2);
         assert_eq!(cfg("dynamic-claim-16").num_threads, 16);
-        // The ablation pairs must differ only in the knob under test.
-        assert_eq!(
-            topo[0].work_units(),
-            topo[1].work_units(),
-            "nested ablation pair does different work"
-        );
-        assert_eq!(topo[2].work_units(), topo[3].work_units());
     }
 
     /// The claimer probe's checksum covers every loop iteration exactly
-    /// once per episode, whichever claimer tier served the chunks.
+    /// once per episode.
     #[test]
     fn dynamic_claim_rep_covers_every_iteration() {
         let topo = meter_workloads(MeterSuite::Topo, MeterScale::Quick);

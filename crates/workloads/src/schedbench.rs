@@ -147,22 +147,40 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_chunk_1_costs_more_than_static_even() {
-        // The classic schedbench shape: dynamic,1 claims every iteration
-        // through the shared counter, static computes bounds once.
-        let rt = OpenMp::with_threads(2);
-        let cfg = SchedConfig {
-            loop_iters: 2_000,
-            reps: 4,
-            delay_len: 0,
-        };
-        let stat = measure_schedule(&rt, Schedule::StaticEven, &cfg);
-        let dyn1 = measure_schedule(&rt, Schedule::Dynamic(1), &cfg);
-        assert!(
-            dyn1.raw_per_iter > stat.raw_per_iter,
-            "dynamic,1 {} <= static {}",
-            dyn1.raw_per_iter,
-            stat.raw_per_iter
-        );
+    fn dynamic_chunk_1_claims_through_the_shared_counter_static_even_once() {
+        // The classic schedbench shape, pinned by counting instead of
+        // timing: dynamic,1 claims through the shared counter, static
+        // computes bounds once.
+        use omprt::schedule::static_even;
+        use omprt::DynamicLoop;
+        const ITERS: i64 = 2_000;
+        const THREADS: usize = 2;
+
+        // One thread of a 2-thread team drains the whole loop. The
+        // claimer batches 2 chunks per shared claim while at least
+        // 2 (batch) x 1 (chunk) x 2 (threads) = 4 iterations remain,
+        // then claims single chunks: (2000 - 4) / 2 + 1 = 999 batches
+        // cover 1998 iterations, and 2 single claims take the rest.
+        let shared = DynamicLoop::new(0, ITERS - 1, 1, Schedule::Dynamic(1), THREADS);
+        let mut claimer = shared.claimer();
+        let (mut chunks, mut shared_claims, mut covered) = (0, 0, 0);
+        let mut cursor = shared.next_index();
+        while let Some(c) = claimer.next_chunk() {
+            chunks += 1;
+            covered += c.len(1);
+            if shared.next_index() != cursor {
+                shared_claims += 1;
+                cursor = shared.next_index();
+            }
+        }
+        assert_eq!(chunks, ITERS);
+        assert_eq!(covered, ITERS as u64);
+        assert_eq!(shared_claims, 999 + 2);
+
+        // Static-even: one precomputed block per thread, no shared state.
+        for tid in 0..THREADS {
+            let block = static_even(0, ITERS - 1, 1, tid, THREADS).expect("one block per thread");
+            assert_eq!(block.len(1), ITERS as u64 / THREADS as u64);
+        }
     }
 }

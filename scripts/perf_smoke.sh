@@ -18,10 +18,10 @@
 # own cadence, and the topology CI jobs re-run "sync topo" under
 # different injected OMP_ORA_TOPOLOGY shapes).
 #
-# OMP_ORA_TOPOLOGY defaults to the 2x4x2 reference shape so the
-# topology-shaped barrier (and therefore the sync/topo numbers and the
-# committed baselines) is identical on every host; export it to gate
-# under a different injected machine model.
+# OMP_ORA_TOPOLOGY defaults to the 2x4x2 reference shape so nested
+# lease ordering (and therefore the topo numbers and the committed
+# baselines) is identical on every host; export it to gate under a
+# different injected machine model.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -67,8 +67,8 @@ done
 
 # Nested-team topology sweep: real nested forks (pooled sub-team
 # leasing, level/parent chains, leased-worker state visibility) and the
-# topology-shaped barrier and hierarchical claimer exercised under
-# several injected machine shapes — the 2x4x2 reference box, a
+# oversubscribed barrier and claimer stress exercised under several
+# injected machine shapes — the 2x4x2 reference box, a
 # single-package SMT-less box, and a package-per-core box — plus the
 # curated nested-team fuzz cases replayed under each shape.
 echo "== stress: nested-team topology sweep =="
