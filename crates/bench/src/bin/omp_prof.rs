@@ -89,6 +89,21 @@
 //! surviving lane's drop/ACK accounting reconciled, 1 otherwise.
 //! (`fleet-rank` is the hidden per-child entry point `fleet` spawns.)
 //!
+//! The `paper` subcommand reproduces the paper's tables and figures
+//! (see `ora_bench::paper`); every timed cell is the median of
+//! interleaved rounds of its arms:
+//!
+//! ```text
+//! omp_prof paper table1 --scale smoke
+//! omp_prof paper fig5                         # --scale quick is the default
+//! omp_prof paper all --scale paper
+//! ```
+//!
+//! `paper` exits 0 when every experiment ran, 1 when a count check
+//! failed (a Table I/II count differing from the paper or from the
+//! measured run), and 2 on an unknown experiment or `--scale` value.
+//! Every subcommand exits 2 on a malformed flag value.
+//!
 //! `trace report` also accepts multiple per-rank traces — `--rank FILE`
 //! repeated, or `--ranks-dir DIR` for every `*.oratrace` in a directory
 //! — and prints the merged `(tick, gtid, seq, rank)` timeline.
@@ -108,12 +123,33 @@ use ora_trace::{
 use workloads::epcc::{self, EpccConfig};
 use workloads::{NpbClass, NpbKernel};
 
-fn arg(name: &str, default: &str) -> String {
+/// The value following flag `name`, if the flag is given.
+fn flag(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == name)
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| default.to_string())
+    args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
+}
+
+fn arg(name: &str, default: &str) -> String {
+    flag(name).unwrap_or_else(|| default.to_string())
+}
+
+/// Report a malformed flag value and exit 2: a typo must not silently
+/// run with the default.
+fn bad_flag(name: &str, value: &str, expected: &str) -> ! {
+    eprintln!("invalid value '{value}' for {name} — expected {expected}");
+    std::process::exit(2);
+}
+
+/// `value` of flag `name` parsed as `T` (exit 2 if it does not parse).
+fn parse_value<T: std::str::FromStr>(name: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| bad_flag(name, value, std::any::type_name::<T>()))
+}
+
+/// Flag `name` parsed as `T`, or `default` when the flag is absent.
+fn parsed<T: std::str::FromStr>(name: &str, default: T) -> T {
+    flag(name).map_or(default, |v| parse_value(name, &v))
 }
 
 fn run_workload(rt: &OpenMp, workload: &str, class: NpbClass) {
@@ -170,10 +206,10 @@ fn run_workload(rt: &OpenMp, workload: &str, class: NpbClass) {
 /// full event stream to a binary trace file.
 fn trace_record() {
     let workload = arg("--workload", "epcc");
-    let threads: usize = arg("--threads", "2").parse().unwrap_or(2);
-    let class = npb_class(&arg("--class", "s"));
+    let threads: usize = parsed("--threads", 2);
+    let class = npb_class();
     let out = arg("--out", "run.oratrace");
-    let policy = drop_policy(&arg("--policy", "newest"));
+    let policy = drop_policy();
     let config = TraceConfig {
         policy,
         ..TraceConfig::default()
@@ -225,15 +261,9 @@ fn trace_analyze() {
     use ora_trace::analyze::{self, AnalyzeConfig};
 
     let mut cfg = AnalyzeConfig::default();
-    cfg.min_tasks = arg("--min-tasks", &cfg.min_tasks.to_string())
-        .parse()
-        .unwrap_or(cfg.min_tasks);
-    cfg.starvation_frac = arg("--starvation-frac", &cfg.starvation_frac.to_string())
-        .parse()
-        .unwrap_or(cfg.starvation_frac);
-    cfg.dominance_frac = arg("--dominance-frac", &cfg.dominance_frac.to_string())
-        .parse()
-        .unwrap_or(cfg.dominance_frac);
+    cfg.min_tasks = parsed("--min-tasks", cfg.min_tasks);
+    cfg.starvation_frac = parsed("--starvation-frac", cfg.starvation_frac);
+    cfg.dominance_frac = parsed("--dominance-frac", cfg.dominance_frac);
 
     let argv: Vec<String> = std::env::args().collect();
     let mut rank_files: Vec<String> = argv
@@ -322,12 +352,8 @@ fn bench_run() {
         // --quick is the default.
         RunnerConfig::quick()
     };
-    cfg.threads = arg("--threads", &cfg.threads.to_string())
-        .parse()
-        .unwrap_or(cfg.threads);
-    cfg.reps = arg("--reps", &cfg.reps.to_string())
-        .parse()
-        .unwrap_or(cfg.reps);
+    cfg.threads = parsed("--threads", cfg.threads);
+    cfg.reps = parsed("--reps", cfg.reps);
     let out_dir = arg("--out-dir", ".");
     let suites: Vec<MeterSuite> = match arg("--suite", "all").as_str() {
         "all" => vec![
@@ -390,6 +416,46 @@ fn bench_run() {
     }
 }
 
+/// `paper <experiment>`: reproduce one table or figure, or all of them.
+fn paper_run() {
+    use ora_bench::paper::{experiment, Scale, EXPERIMENTS};
+
+    let which = std::env::args().nth(2).unwrap_or_default();
+    let selected: Vec<_> = if which == "all" {
+        EXPERIMENTS.iter().collect()
+    } else if let Some(e) = experiment(&which) {
+        vec![e]
+    } else {
+        eprintln!(
+            "unknown experiment '{which}' — usage: omp_prof paper <experiment> [--scale {}]",
+            Scale::KEYS
+        );
+        for e in &EXPERIMENTS {
+            eprintln!("  {:<10} {}", e.name, e.reproduces);
+        }
+        eprintln!("  {:<10} every experiment above, in order", "all");
+        std::process::exit(2);
+    };
+    let scale = match flag("--scale") {
+        None => Scale::Quick,
+        Some(v) => Scale::parse(&v).unwrap_or_else(|| bad_flag("--scale", &v, Scale::KEYS)),
+    };
+
+    let mut failed = 0;
+    for e in selected {
+        match (e.run)(scale) {
+            Ok(text) => println!("{text}"),
+            Err(err) => {
+                eprintln!("paper {}: {err}", e.name);
+                failed += 1;
+            }
+        }
+    }
+    if failed > 0 {
+        std::process::exit(1);
+    }
+}
+
 /// `bench compare`: gate a new run against a baseline document.
 fn bench_compare() {
     use ora_bench::meter::{compare, BenchDoc};
@@ -406,10 +472,7 @@ fn bench_compare() {
         eprintln!("usage: omp_prof bench compare <old.json> <new.json> [--threshold 10]");
         std::process::exit(2);
     };
-    let threshold: f64 = arg("--threshold", "10").parse().unwrap_or_else(|_| {
-        eprintln!("--threshold must be a number");
-        std::process::exit(2);
-    });
+    let threshold: f64 = parsed("--threshold", 10.0);
 
     let load = |path: &str| -> BenchDoc {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -437,7 +500,7 @@ fn bench_compare() {
 /// `--ranks-dir DIR`): print the merged `(tick, gtid, seq, rank)`
 /// timeline across per-rank trace files.
 fn trace_report_ranks(files: &[String]) {
-    let head: usize = arg("--head", "30").parse().unwrap_or(30);
+    let head: usize = parsed("--head", 30);
     let micros = |ticks: u64| collector::clock::to_micros(ticks);
     let readers: Vec<TraceReader> = files
         .iter()
@@ -516,7 +579,7 @@ fn trace_report() {
     }
 
     let input = arg("--in", "run.oratrace");
-    let head: usize = arg("--head", "30").parse().unwrap_or(30);
+    let head: usize = parsed("--head", 30);
     let reader = TraceReader::open(&input).unwrap_or_else(|e| {
         eprintln!("cannot read {input}: {e}");
         std::process::exit(1);
@@ -525,18 +588,14 @@ fn trace_report() {
     let micros = |ticks: u64| collector::clock::to_micros(ticks);
     let has = |name: &str| std::env::args().any(|a| a == name);
     let records: Vec<TraceEvent> = if has("--thread") {
-        let gtid: usize = arg("--thread", "0").parse().unwrap_or(0);
+        let gtid: usize = parsed("--thread", 0);
         reader.for_thread(gtid)
     } else if has("--region") {
-        let region: u64 = arg("--region", "0").parse().unwrap_or(0);
+        let region: u64 = parsed("--region", 0);
         reader.for_region(region)
     } else if has("--from-us") || has("--to-us") {
-        let lo = (arg("--from-us", "0").parse().unwrap_or(0.0) * 1e3) as u64;
-        let hi = (arg("--to-us", &f64::MAX.to_string())
-            .parse()
-            .unwrap_or(f64::MAX)
-            .min(u64::MAX as f64 * 1e-3)
-            * 1e3) as u64;
+        let lo = (parsed("--from-us", 0.0) * 1e3) as u64;
+        let hi = (parsed("--to-us", f64::MAX).min(u64::MAX as f64 * 1e-3) * 1e3) as u64;
         reader.time_range(lo, hi)
     } else {
         reader.records()
@@ -630,11 +689,13 @@ fn quiet_injected_panics() {
     }));
 }
 
-fn drop_policy(s: &str) -> DropPolicy {
-    match s {
-        "oldest" => DropPolicy::Oldest,
-        "block" => DropPolicy::Block,
-        _ => DropPolicy::Newest,
+/// `--policy` (default `newest`).
+fn drop_policy() -> DropPolicy {
+    match flag("--policy").as_deref() {
+        None | Some("newest") => DropPolicy::Newest,
+        Some("oldest") => DropPolicy::Oldest,
+        Some("block") => DropPolicy::Block,
+        Some(v) => bad_flag("--policy", v, "newest|oldest|block"),
     }
 }
 
@@ -679,19 +740,17 @@ fn attach_fault_harness(
 fn health() {
     let has = |name: &str| std::env::args().any(|a| a == name);
     let workload = arg("--workload", "epcc");
-    let threads: usize = arg("--threads", "2").parse().unwrap_or(2);
-    let class = npb_class(&arg("--class", "s"));
+    let threads: usize = parsed("--threads", 2);
+    let class = npb_class();
     let inject = has("--inject-panic-cb");
     let kill = has("--kill-drainer");
-    let policy = drop_policy(&arg("--policy", "newest"));
+    let policy = drop_policy();
     if inject || kill {
         quiet_injected_panics();
     }
 
     let rt = OpenMp::with_threads(threads);
-    if let Ok(n) = arg("--quarantine", "3").parse() {
-        rt.set_quarantine_threshold(n);
-    }
+    rt.set_quarantine_threshold(parsed("--quarantine", 3));
     let (handle, tracer) = attach_fault_harness(&rt, policy, inject, kill);
     run_workload(&rt, &workload, class);
     // Workers fire trailing end-of-barrier events asynchronously.
@@ -766,11 +825,12 @@ fn health() {
 /// faults. Exit 0 iff every workload completes with correct results.
 fn suite_run() {
     let has = |name: &str| std::env::args().any(|a| a == name);
-    let threads: usize = arg("--threads", "2").parse().unwrap_or(2);
-    let class = npb_class(&arg("--class", "s"));
+    let threads: usize = parsed("--threads", 2);
+    let class = npb_class();
+    let quarantine: u64 = parsed("--quarantine", 3);
     let inject = has("--inject-panic-cb");
     let kill = has("--kill-drainer");
-    let policy = drop_policy(&arg("--policy", "newest"));
+    let policy = drop_policy();
     if inject || kill {
         quiet_injected_panics();
     }
@@ -786,9 +846,7 @@ fn suite_run() {
         .collect();
     for name in &workloads {
         let rt = OpenMp::with_threads(threads);
-        if let Ok(n) = arg("--quarantine", "3").parse() {
-            rt.set_quarantine_threshold(n);
-        }
+        rt.set_quarantine_threshold(quarantine);
         let (handle, tracer) = attach_fault_harness(&rt, policy, inject, kill);
 
         let result = if name == "epcc" {
@@ -878,14 +936,8 @@ fn fuzz_run() {
     use collector::modes::CollectionConfig;
     use ora_fuzz::{check_scenario_rungs, fails_with_retries_on, minimize, Scenario};
 
-    let seeds: u64 = arg("--seeds", "0").parse().unwrap_or_else(|_| {
-        eprintln!("--seeds must be an integer");
-        std::process::exit(2);
-    });
-    let start: u64 = arg("--start", "0").parse().unwrap_or_else(|_| {
-        eprintln!("--start must be an integer");
-        std::process::exit(2);
-    });
+    let seeds: u64 = parsed("--seeds", 0);
+    let start: u64 = parsed("--start", 0);
     let case = arg("--case", "");
     let cases_dir = arg("--cases", "");
     let out_dir = arg("--out", "");
@@ -1055,8 +1107,8 @@ fn render_fleet_report(rep: &ora_fleet::FleetReport) {
 /// number of ranks have come and gone, then report.
 fn fleet_serve() {
     let endpoint = ora_fleet::Endpoint::parse(&arg("--endpoint", "fleet.sock"));
-    let ranks: u64 = arg("--ranks", "1").parse().unwrap_or(1);
-    let slow = std::time::Duration::from_micros(arg("--slow-us", "0").parse().unwrap_or(0));
+    let ranks: u64 = parsed("--ranks", 1);
+    let slow = std::time::Duration::from_micros(parsed("--slow-us", 0));
     println!("ora-fleet daemon on {endpoint}, serving {ranks} rank(s)");
     match ora_bench::fleet_driver::serve(&endpoint, ranks, slow) {
         Ok(report) => {
@@ -1075,7 +1127,7 @@ fn fleet_serve() {
 /// verify the online merge against the offline one.
 fn fleet_run() {
     use ora_bench::fleet_driver::{run_fleet, FleetConfig};
-    let ranks: usize = arg("--ranks", "2").parse().unwrap_or(2);
+    let ranks: usize = parsed("--ranks", 2);
     let default_dir = std::env::temp_dir()
         .join(format!("ora_fleet_{}", std::process::id()))
         .display()
@@ -1083,14 +1135,14 @@ fn fleet_run() {
     let endpoint = arg("--endpoint", "");
     let cfg = FleetConfig {
         ranks,
-        threads: arg("--threads", "2").parse().unwrap_or(2),
+        threads: parsed("--threads", 2),
         workload: arg("--workload", "lu-mz"),
-        class: npb_class(&arg("--class", "s")),
+        class: npb_class(),
         endpoint: (!endpoint.is_empty()).then_some(endpoint),
         out_dir: arg("--out-dir", &default_dir).into(),
-        kill_rank: arg("--kill-rank", "").parse().ok(),
-        slow: std::time::Duration::from_micros(arg("--slow-us", "0").parse().unwrap_or(0)),
-        window: arg("--window", "8").parse().unwrap_or(8),
+        kill_rank: flag("--kill-rank").map(|v| parse_value("--kill-rank", &v)),
+        slow: std::time::Duration::from_micros(parsed("--slow-us", 0)),
+        window: parsed("--window", 8),
     };
     println!(
         "fleet: {} × {} ({} rank processes × {} threads), class {:?}, traces in {}",
@@ -1142,19 +1194,19 @@ fn fleet_run() {
 
 /// Hidden per-child entry point `fleet` spawns: stream one rank.
 fn fleet_rank_child() {
-    let rank: usize = arg("--rank", "0").parse().unwrap_or(0);
+    let rank: usize = parsed("--rank", 0);
     let endpoint = ora_fleet::Endpoint::parse(&arg("--endpoint", "fleet.sock"));
     let trace_out = arg("--trace-out", "rank.oratrace");
     let die_early = std::env::args().any(|a| a == "--die-early");
     if let Err(e) = ora_bench::fleet_driver::run_rank_child(
         &endpoint,
         rank,
-        arg("--ranks", "1").parse().unwrap_or(1),
-        arg("--threads", "2").parse().unwrap_or(2),
+        parsed("--ranks", 1),
+        parsed("--threads", 2),
         &arg("--workload", "lu-mz"),
-        npb_class(&arg("--class", "s")),
+        npb_class(),
         std::path::Path::new(&trace_out),
-        arg("--window", "8").parse().unwrap_or(8),
+        parsed("--window", 8),
         die_early,
     ) {
         eprintln!("fleet-rank {rank}: {e}");
@@ -1162,11 +1214,13 @@ fn fleet_rank_child() {
     }
 }
 
-fn npb_class(s: &str) -> NpbClass {
-    match s {
-        "w" | "W" => NpbClass::W,
-        "b" | "B" => NpbClass::Bsim,
-        _ => NpbClass::S,
+/// `--class` (default `s`).
+fn npb_class() -> NpbClass {
+    match flag("--class").as_deref() {
+        None | Some("s" | "S") => NpbClass::S,
+        Some("w" | "W") => NpbClass::W,
+        Some("b" | "B") => NpbClass::Bsim,
+        Some(v) => bad_flag("--class", v, "s|w|b"),
     }
 }
 
@@ -1204,6 +1258,9 @@ fn main() {
     if argv.get(1).map(String::as_str) == Some("fleet-rank") {
         return fleet_rank_child();
     }
+    if argv.get(1).map(String::as_str) == Some("paper") {
+        return paper_run();
+    }
     if argv.get(1).map(String::as_str) == Some("bench") {
         match argv.get(2).map(String::as_str) {
             Some("run") => return bench_run(),
@@ -1219,8 +1276,8 @@ fn main() {
 
     let workload = arg("--workload", "cg");
     let tool = arg("--tool", "profile");
-    let threads: usize = arg("--threads", "2").parse().unwrap_or(2);
-    let class = npb_class(&arg("--class", "s"));
+    let threads: usize = parsed("--threads", 2);
+    let class = npb_class();
 
     let rt = OpenMp::with_threads(threads);
     let handle = RuntimeHandle::discover_named(rt.symbol_name()).expect("runtime symbol");

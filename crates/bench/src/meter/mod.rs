@@ -7,7 +7,8 @@
 //! * [`runner`] runs each workload under the five-rung
 //!   collector-intrusiveness ladder (absent / registered-paused /
 //!   state-queries / streaming-trace / governed, [`collector::modes`])
-//!   with per-repetition timing;
+//!   with per-repetition timing, through the one interleaved loop
+//!   ([`interleave`]) that also times every `omp_prof paper` cell;
 //! * [`stats`] makes the numbers defensible — warmup discard happens in
 //!   the runner, then MAD outlier rejection with a minimum-repetition
 //!   rule and a seeded 95% bootstrap CI of the median;
@@ -28,7 +29,7 @@ pub mod schema;
 pub mod stats;
 
 pub use compare::{compare, CompareError, CompareReport, Regression, Shift};
-pub use runner::{run_suite, run_suite_with_progress, RunnerConfig, UNIT};
+pub use runner::{interleave, run_suite, run_suite_with_progress, RunnerConfig, UNIT};
 pub use schema::{
     BenchDoc, ConfigResult, SchemaError, SyncConfig, WorkloadResult, SCHEMA_NAME, SCHEMA_VERSION,
 };

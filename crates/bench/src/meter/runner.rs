@@ -108,6 +108,30 @@ fn sync_config() -> SyncConfig {
     }
 }
 
+/// The one timing loop of the crate: `warmup + reps` rounds (at least
+/// one timed), each visiting arms `0..arms` in order, where
+/// `sample(arm)` runs one repetition of that arm and returns its
+/// sample. The warmup rounds' samples are discarded; the result holds
+/// each arm's timed samples, in round order. The meter's collector
+/// ladder and every cell of `omp_prof paper` are timed through here.
+pub fn interleave<T, E>(
+    warmup: usize,
+    reps: usize,
+    arms: usize,
+    mut sample: impl FnMut(usize) -> Result<T, E>,
+) -> Result<Vec<Vec<T>>, E> {
+    let mut samples: Vec<Vec<T>> = (0..arms).map(|_| Vec::new()).collect();
+    for round in 0..warmup + reps.max(1) {
+        for (arm, kept) in samples.iter_mut().enumerate() {
+            let value = sample(arm)?;
+            if round >= warmup {
+                kept.push(value);
+            }
+        }
+    }
+    Ok(samples)
+}
+
 fn run_workload(
     workload: &MeterWorkload,
     cfg: &RunnerConfig,
@@ -124,23 +148,18 @@ fn run_workload(
     let handle = RuntimeHandle::discover_named(rt.symbol_name())
         .ok_or(RunError::Ora(ora_core::OraError::Error))?;
 
-    let rounds = cfg.warmup + cfg.reps.max(1);
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); CollectionConfig::ALL.len()];
-    for round in 0..rounds {
-        for (slot, config) in CollectionConfig::ALL.into_iter().enumerate() {
-            let active = config.attach(&handle)?;
-            let (_, ticks) = clock::time(|| std::hint::black_box(workload.run_rep(&rt)));
-            // Workers fire trailing end-of-barrier events asynchronously;
-            // give them a beat before tearing the attachment down.
-            if config != CollectionConfig::Absent {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            active.finish()?;
-            if round >= cfg.warmup {
-                samples[slot].push(clock::to_secs(ticks));
-            }
+    let samples = interleave(cfg.warmup, cfg.reps, CollectionConfig::ALL.len(), |slot| {
+        let config = CollectionConfig::ALL[slot];
+        let active = config.attach(&handle)?;
+        let (_, ticks) = clock::time(|| std::hint::black_box(workload.run_rep(&rt)));
+        // Workers fire trailing end-of-barrier events asynchronously;
+        // give them a beat before tearing the attachment down.
+        if config != CollectionConfig::Absent {
+            std::thread::sleep(std::time::Duration::from_millis(2));
         }
-    }
+        active.finish()?;
+        Ok::<_, RunError>(clock::to_secs(ticks))
+    })?;
 
     let mut per_config: Vec<(CollectionConfig, SampleStats)> = Vec::new();
     for (slot, config) in CollectionConfig::ALL.into_iter().enumerate() {
@@ -225,5 +244,29 @@ mod tests {
         assert_eq!(sc.barrier, "central");
         let parsed = BenchDoc::from_json(&doc.to_json()).unwrap();
         assert_eq!(parsed, doc);
+    }
+
+    #[test]
+    fn interleave_visits_arms_in_order_and_drops_warmup() {
+        let mut visits = Vec::new();
+        let samples = interleave(2, 3, 3, |arm| {
+            visits.push(arm);
+            Ok::<_, ()>(visits.len())
+        })
+        .unwrap();
+        assert_eq!(visits, [0, 1, 2].repeat(5));
+        // Rounds 2..5 are kept: visits 7..=15, three per round.
+        assert_eq!(
+            samples,
+            vec![vec![7, 10, 13], vec![8, 11, 14], vec![9, 12, 15]]
+        );
+        // At least one timed round, even when asked for none.
+        let one = interleave(0, 0, 1, |_| Ok::<_, ()>(1.0)).unwrap();
+        assert_eq!(one, vec![vec![1.0]]);
+        // The first error stops the loop.
+        assert_eq!(
+            interleave(0, 3, 2, |arm| if arm == 1 { Err(arm) } else { Ok(0) }),
+            Err(1)
+        );
     }
 }

@@ -9,9 +9,9 @@
 //! [`ora_trace::FileSink`] for `omp_prof trace record`, a
 //! [`ora_trace::MemorySink`] for tools that read the trace back through
 //! [`ora_trace::TraceReader`] (merged stably by `(tick, gtid, seq)`).
-//! The tracer also keeps per-event counters — which is how the
-//! `table1_regions` harness measures the parallel-region call counts of
-//! the paper's Tables I and II (one fork event per region call).
+//! The tracer also keeps per-event counters — which is how
+//! `omp_prof paper table1` measures the parallel-region call counts of
+//! the paper's Table I (one fork event per region call).
 
 use std::sync::Arc;
 

@@ -76,10 +76,47 @@ fn consume(arr: &[f64]) {
     std::hint::black_box(arr.first().copied().unwrap_or(0.0) + arr.last().copied().unwrap_or(0.0));
 }
 
+/// The master's array `0, 1, …` of `size` elements.
+fn master_array(size: usize) -> Vec<f64> {
+    (0..size).map(|i| i as f64).collect()
+}
+
+/// Run `reps` regions of `clause` over arrays of `master_copy.len()`
+/// elements. Every thread of every region hands its copy to `observe`:
+/// `master_copy` cloned on entry (firstprivate) or the `single`'s array
+/// `1, 2, …` broadcast (copyprivate). A private array is allocated, not
+/// copied, so `observe` sees none.
+fn run_clause(
+    rt: &OpenMp,
+    clause: DataClause,
+    master_copy: &[f64],
+    reps: usize,
+    observe: &(dyn Fn(&[f64]) + Sync),
+) {
+    let size = master_copy.len();
+    for _ in 0..reps {
+        match clause {
+            DataClause::Private => rt.parallel_region(region(), |_| {
+                let private: Vec<f64> = Vec::with_capacity(size);
+                std::hint::black_box(private.capacity());
+            }),
+            DataClause::FirstPrivate => rt.parallel_region(region(), |_| {
+                let firstprivate = master_copy.to_vec();
+                observe(&firstprivate);
+            }),
+            DataClause::CopyPrivate => rt.parallel_region(region(), |ctx| {
+                let broadcast: Vec<f64> =
+                    ctx.single_copy(|| (0..size).map(|i| i as f64 + 1.0).collect());
+                observe(&broadcast);
+            }),
+        }
+    }
+}
+
 /// Measure one clause at one array size.
 pub fn measure(rt: &OpenMp, clause: DataClause, size: usize, cfg: &ArrayConfig) -> ArrayPoint {
     let reps = cfg.inner_reps;
-    let master_copy: Vec<f64> = (0..size).map(|i| i as f64).collect();
+    let master_copy = master_array(size);
 
     // Reference: the same number of empty regions.
     let (_, ref_ticks) = clock::time(|| {
@@ -88,25 +125,7 @@ pub fn measure(rt: &OpenMp, clause: DataClause, size: usize, cfg: &ArrayConfig) 
         }
     });
 
-    let (_, test_ticks) = clock::time(|| {
-        for _ in 0..reps {
-            match clause {
-                DataClause::Private => rt.parallel_region(region(), |_| {
-                    let private: Vec<f64> = Vec::with_capacity(size);
-                    std::hint::black_box(private.capacity());
-                }),
-                DataClause::FirstPrivate => rt.parallel_region(region(), |_| {
-                    let firstprivate = master_copy.clone();
-                    consume(&firstprivate);
-                }),
-                DataClause::CopyPrivate => rt.parallel_region(region(), |ctx| {
-                    let broadcast: Vec<f64> =
-                        ctx.single_copy(|| (0..size).map(|i| i as f64 + 1.0).collect());
-                    consume(&broadcast);
-                }),
-            }
-        }
-    });
+    let (_, test_ticks) = clock::time(|| run_clause(rt, clause, &master_copy, reps, &consume));
 
     let per_region = (clock::to_secs(test_ticks) - clock::to_secs(ref_ticks)) / reps as f64;
     ArrayPoint {
@@ -169,18 +188,40 @@ mod tests {
     }
 
     #[test]
-    fn firstprivate_cost_grows_with_size() {
-        // Copying 100k doubles per thread per region must cost measurably
-        // more than copying 1.
-        let rt = OpenMp::with_threads(2);
-        let cfg = ArrayConfig { inner_reps: 16 };
-        let small = measure(&rt, DataClause::FirstPrivate, 1, &cfg);
-        let large = measure(&rt, DataClause::FirstPrivate, 100_000, &cfg);
-        assert!(
-            large.overhead_per_region > small.overhead_per_region,
-            "large {} <= small {}",
-            large.overhead_per_region,
-            small.overhead_per_region
+    fn every_thread_receives_a_full_copy_per_region() {
+        // What the clauses cost is the copy: pin the copies themselves
+        // (their cost by size is `omp_prof paper epcc`'s arraybench table).
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const THREADS: usize = 3;
+        const REPS: usize = 5;
+        const SIZE: usize = 100_000;
+        let rt = OpenMp::with_threads(THREADS);
+        let master = master_array(SIZE);
+        for (clause, first) in [
+            (DataClause::FirstPrivate, 0.0),
+            (DataClause::CopyPrivate, 1.0),
+        ] {
+            let copies = AtomicUsize::new(0);
+            let wrong = AtomicUsize::new(0);
+            run_clause(&rt, clause, &master, REPS, &|copy| {
+                copies.fetch_add(1, Ordering::Relaxed);
+                let exact = copy.len() == SIZE
+                    && copy.iter().enumerate().all(|(i, &v)| v == i as f64 + first);
+                if !exact {
+                    wrong.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert_eq!(copies.into_inner(), THREADS * REPS, "{clause:?}");
+            assert_eq!(wrong.into_inner(), 0, "{clause:?}");
+        }
+        let copies = AtomicUsize::new(0);
+        run_clause(&rt, DataClause::Private, &master, REPS, &|_| {
+            copies.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(
+            copies.into_inner(),
+            0,
+            "private allocates, it does not copy"
         );
     }
 }

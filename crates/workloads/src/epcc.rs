@@ -126,33 +126,16 @@ impl EpccConfig {
     }
 }
 
-/// Statistics of one directive's overhead, in seconds per instance.
+/// One directive's overhead, in seconds per instance, averaged over the
+/// outer repetitions (spread across measurements is the caller's to
+/// take: `omp_prof paper` reports medians of repeated measurements).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stat {
     /// Mean overhead per directive instance.
     pub mean: f64,
-    /// Standard deviation over outer repetitions.
-    pub sd: f64,
-    /// Minimum observed.
-    pub min: f64,
-    /// Maximum observed.
-    pub max: f64,
     /// Mean raw test time per instance (directive + delay), before the
     /// reference is subtracted — the base for overhead-percentage plots.
     pub raw_mean: f64,
-}
-
-fn stats(samples: &[f64], raw_mean: f64) -> Stat {
-    let n = samples.len().max(1) as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
-    Stat {
-        mean,
-        sd: var.sqrt(),
-        min: samples.iter().copied().fold(f64::INFINITY, f64::min),
-        max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        raw_mean,
-    }
 }
 
 /// The EPCC delay workload: a dependent floating-point loop the compiler
@@ -194,7 +177,7 @@ pub fn measure(rt: &OpenMp, directive: Directive, cfg: &EpccConfig) -> Stat {
     let dlen = cfg.delay_len;
     let nthreads = rt.num_threads();
 
-    let mut samples = Vec::with_capacity(cfg.outer_reps);
+    let mut overhead_total = 0.0f64;
     let mut raw_total = 0.0f64;
 
     for _ in 0..cfg.outer_reps {
@@ -210,10 +193,14 @@ pub fn measure(rt: &OpenMp, directive: Directive, cfg: &EpccConfig) -> Stat {
         let test = clock::to_secs(test_ticks) / inner as f64;
 
         raw_total += test;
-        samples.push(test - reference);
+        overhead_total += test - reference;
     }
 
-    stats(&samples, raw_total / cfg.outer_reps as f64)
+    let reps = cfg.outer_reps.max(1) as f64;
+    Stat {
+        mean: overhead_total / reps,
+        raw_mean: raw_total / reps,
+    }
 }
 
 /// Iteration hook for external measurement harnesses (`ora-meter`): run
@@ -358,8 +345,6 @@ mod tests {
         for d in ALL_DIRECTIVES {
             let s = measure(&rt, d, &tiny());
             assert!(s.mean.is_finite(), "{d:?}");
-            assert!(s.sd.is_finite() && s.sd >= 0.0, "{d:?}");
-            assert!(s.min <= s.max, "{d:?}");
             assert!(s.raw_mean > 0.0, "{d:?}");
         }
     }
@@ -394,17 +379,6 @@ mod tests {
 #[cfg(test)]
 mod stat_tests {
     use super::*;
-
-    #[test]
-    fn stats_arithmetic_is_correct() {
-        let s = stats(&[1.0, 2.0, 3.0], 2.5);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        // Population sd of [1,2,3] = sqrt(2/3).
-        assert!((s.sd - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert_eq!(s.raw_mean, 2.5);
-    }
 
     #[test]
     fn directive_names_are_epcc_style() {

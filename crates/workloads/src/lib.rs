@@ -1,6 +1,7 @@
 //! # workloads — the paper's evaluation workloads
 //!
-//! Everything the paper's §V runs, reimplemented against `omprt`:
+//! Everything the paper's §V runs, reimplemented against `omprt` (the
+//! experiments themselves are timed and rendered by `omp_prof paper`):
 //!
 //! * [`epcc`] — the EPCC synchronization microbenchmarks with their
 //!   reference/test overhead methodology (Fig. 4);
@@ -12,8 +13,6 @@
 //!   ablation for static/dynamic/guided schedules);
 //! * [`arraybench`] — the EPCC data-clause sweep (private / firstprivate /
 //!   copyprivate cost by array size);
-//! * [`driver`] — with/without-collection overhead measurement and the
-//!   §V-B measurement-vs-communication breakdown;
 //! * [`meterwork`] — deterministic, repetition-shaped workload units for
 //!   the `ora-meter` overhead experiment (iteration hooks + fixed
 //!   work sizing per scale);
@@ -22,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod arraybench;
-pub mod driver;
 pub mod epcc;
 pub mod meterwork;
 pub mod mz;
@@ -30,7 +28,6 @@ pub mod npb;
 pub mod schedbench;
 pub mod util;
 
-pub use driver::{measure_breakdown, measure_overhead, OverheadBreakdown, OverheadResult};
 pub use epcc::{Directive, EpccConfig, ALL_DIRECTIVES};
 pub use meterwork::{meter_workloads, MeterScale, MeterSuite, MeterWorkload, METER_DIRECTIVES};
 pub use mz::{CollectMode, MzBenchmark, MzRunResult};

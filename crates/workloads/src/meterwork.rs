@@ -311,6 +311,15 @@ impl MeterWorkload {
                             ctx.barrier();
                         }
                         ctx.taskwait();
+                        if shape == TaskShape::ProducerSteal {
+                            // Close the episode: taskwait waits for the
+                            // whole team's tasks, so a thread still in
+                            // this taskwait would also wait for the batch
+                            // the master spawns for the next episode —
+                            // while the master waits for that thread at
+                            // the next publishing barrier. Deadlock.
+                            ctx.barrier();
+                        }
                     }
                 });
                 sum.load(Ordering::Relaxed) as f64

@@ -356,22 +356,27 @@ impl MzBenchmark {
     }
 }
 
+/// Table II of the paper: per NPB3.2-MZ benchmark, in
+/// [`MzBenchmark::all`] order, its name and the parallel-region calls
+/// per process at each of [`TABLE_II_PROCS`] processes.
+pub const TABLE_II: [(&str, [u64; 4]); 3] = [
+    ("BT-MZ", [167_616, 83_808, 41_904, 20_952]),
+    ("LU-MZ", [40_353, 20_177, 10_089, 5_045]),
+    ("SP-MZ", [436_672, 218_336, 109_168, 54_584]),
+];
+
+/// The process counts of Table II's columns (1×8, 2×4, 4×2, 8×1).
+pub const TABLE_II_PROCS: [usize; 4] = [1, 2, 4, 8];
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Table II of the paper (per-process region calls, process × thread).
-    const TABLE_II: [(&str, [u64; 4]); 3] = [
-        ("BT-MZ", [167_616, 83_808, 41_904, 20_952]),
-        ("LU-MZ", [40_353, 20_177, 10_089, 5_045]),
-        ("SP-MZ", [436_672, 218_336, 109_168, 54_584]),
-    ];
 
     #[test]
     fn per_rank_calls_reproduce_table_2_exactly() {
         for (bench, &(name, cols)) in MzBenchmark::all().iter().zip(TABLE_II.iter()) {
             assert_eq!(bench.name, name);
-            for (procs, expected) in [1usize, 2, 4, 8].into_iter().zip(cols) {
+            for (procs, expected) in TABLE_II_PROCS.into_iter().zip(cols) {
                 assert_eq!(
                     bench.table2_calls(procs),
                     expected,

@@ -537,21 +537,23 @@ fn run_region(
     }
 }
 
+/// Table I of the paper: per NPB3.2-OMP benchmark, in [`NpbKernel::all`]
+/// order, its name, number of parallel regions and region calls at
+/// class B.
+pub const TABLE_I: [(&str, usize, u64); 8] = [
+    ("BT", 11, 1_014),
+    ("EP", 3, 3),
+    ("SP", 14, 3_618),
+    ("MG", 10, 1_281),
+    ("FT", 9, 112),
+    ("CG", 15, 2_212),
+    ("LU-HP", 16, 298_959),
+    ("LU", 9, 518),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Table I of the paper.
-    const TABLE_I: [(&str, usize, u64); 8] = [
-        ("BT", 11, 1_014),
-        ("EP", 3, 3),
-        ("SP", 14, 3_618),
-        ("MG", 10, 1_281),
-        ("FT", 9, 112),
-        ("CG", 15, 2_212),
-        ("LU-HP", 16, 298_959),
-        ("LU", 9, 518),
-    ];
 
     #[test]
     fn kernel_structure_matches_table_1_exactly() {

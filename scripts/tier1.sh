@@ -35,4 +35,8 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml --all-targe
 cargo run -q --release --offline -p ora-bench --bin omp_prof -- \
   fuzz --cases tests/fuzz_cases
 
+# The paper's tables and figures at smoke scale: Table I/II count
+# mismatches exit 1, so the paper checks run on every push.
+cargo run -q --release --offline -p ora-bench --bin omp_prof -- paper all --scale smoke
+
 echo "tier1: OK"

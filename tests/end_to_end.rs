@@ -1,11 +1,12 @@
-//! Cross-crate end-to-end tests: the paper's experiments at smoke scale.
+//! Cross-crate end-to-end tests: the paper's experiments at smoke scale,
+//! timed through `ora_bench::paper`'s cells. (Table II's twelve values
+//! are pinned once, in `workloads::mz`'s unit tests.)
 
-use omp_profiling::collector::{Mode, RuntimeHandle, StreamingTracer};
+use omp_profiling::collector::{RuntimeHandle, StreamingTracer};
 use omp_profiling::omprt::OpenMp;
 use omp_profiling::trace::{MemorySink, TraceConfig};
-use omp_profiling::workloads::{
-    driver, epcc, CollectMode, EpccConfig, MzBenchmark, NpbClass, NpbKernel,
-};
+use omp_profiling::workloads::{epcc, CollectMode, EpccConfig, MzBenchmark, NpbClass, NpbKernel};
+use ora_bench::paper::{self, Breakdown, Scale};
 
 #[test]
 fn table_1_counts_measured_through_ora() {
@@ -28,31 +29,21 @@ fn table_1_counts_measured_through_ora() {
 }
 
 #[test]
-fn table_2_per_process_calls() {
-    let expected: [(&str, [u64; 4]); 3] = [
-        ("BT-MZ", [167_616, 83_808, 41_904, 20_952]),
-        ("LU-MZ", [40_353, 20_177, 10_089, 5_045]),
-        ("SP-MZ", [436_672, 218_336, 109_168, 54_584]),
-    ];
-    for (bench, (name, cols)) in MzBenchmark::all().iter().zip(expected) {
-        assert_eq!(bench.name, name);
-        for (procs, want) in [1usize, 2, 4, 8].into_iter().zip(cols) {
-            assert_eq!(bench.table2_calls(procs), want, "{name} P={procs}");
-        }
-    }
-}
-
-#[test]
 fn figure_5_style_overhead_measurement_runs() {
     // EP (3 region calls) must show essentially no collectable surface;
     // its profile has 3 regions and the measurement completes.
     let kernel = NpbKernel::ep();
     let rt = OpenMp::with_threads(2);
-    let result = driver::measure_overhead(&rt, 1, Mode::Full, |rt| {
-        std::hint::black_box(kernel.run(rt, NpbClass::S));
-    })
+    let m = paper::kernel_medians(
+        Scale::Smoke,
+        &rt,
+        &paper::OVERHEAD_ARMS,
+        &kernel,
+        NpbClass::S,
+    )
     .unwrap();
-    assert!(result.base_secs > 0.0 && result.collected_secs > 0.0);
+    let (base_secs, collected_secs) = (m[0], m[1]);
+    assert!(base_secs > 0.0 && collected_secs > 0.0);
 }
 
 #[test]
@@ -74,10 +65,15 @@ fn breakdown_experiment_produces_valid_split() {
     // form a valid partition of the overhead.
     let kernel = NpbKernel::lu_hp();
     let rt = OpenMp::with_threads(2);
-    let b = driver::measure_breakdown(&rt, 1, |rt| {
-        std::hint::black_box(kernel.run(rt, NpbClass::S));
-    })
+    let m = paper::kernel_medians(
+        Scale::Smoke,
+        &rt,
+        &paper::BREAKDOWN_ARMS,
+        &kernel,
+        NpbClass::S,
+    )
     .unwrap();
+    let b = Breakdown::from_medians(&m);
     let m = b.measurement_fraction();
     let c = b.communication_fraction();
     assert!((0.0..=1.0).contains(&m));
